@@ -64,6 +64,9 @@ int main() {
                "savings grow as utilization falls (gzip/MPlayer best, the "
                "high-utilization web workloads least).  Magnitudes exceed "
                "the paper's because the pressure-limited flow regime widens "
-               "the controllable range — see EXPERIMENTS.md.\n";
+               "the controllable range: pump power comes from a per-setting "
+               "table, not a head-vs-flow curve coupled to the branch "
+               "impedances, an open calibration item (ROADMAP.md, paper "
+               "fidelity).\n";
   return 0;
 }

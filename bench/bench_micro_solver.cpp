@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "control/characterize.hpp"
@@ -110,11 +111,17 @@ void BM_BandedSolveMultiRhs(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(nrhs));
 }
-BENCHMARK(BM_BandedSolveMultiRhs)
-    ->Args({1196, 52, 4})
-    ->Args({1196, 52, 16})
-    ->Args({4784, 208, 4})
-    ->Args({4784, 208, 16});
+// The width curve the grid executor's chunk rule is built on: every width
+// 1-8 plus 16 on the 2-layer ({1196,52}) and 4-layer ({2392,104}) default
+// grids.  Per-RHS cost is not monotone in width (docs/performance.md).
+void multi_rhs_widths(benchmark::internal::Benchmark* b) {
+  for (const auto& [n, bw] : {std::pair{1196, 52}, std::pair{2392, 104}}) {
+    for (const int nrhs : {1, 2, 3, 4, 5, 6, 7, 8, 16}) b->Args({n, bw, nrhs});
+  }
+  b->Args({4784, 208, 4});
+  b->Args({4784, 208, 16});
+}
+BENCHMARK(BM_BandedSolveMultiRhs)->Apply(multi_rhs_widths);
 
 ThermalModel3D make_backend_model(std::size_t rows, std::size_t cols,
                                   std::size_t pairs, SolverBackend backend) {

@@ -63,6 +63,7 @@ class BlockCellMap {
   struct CellShare {
     std::size_t cell;
     double weight;
+    bool operator==(const CellShare&) const = default;
   };
   [[nodiscard]] const std::vector<CellShare>& cells_of(std::size_t block) const {
     return block_cells_[block];
@@ -81,6 +82,8 @@ class BlockCellMap {
   /// Area-weighted mean cell temperature over a block's footprint.
   [[nodiscard]] double block_mean(const std::vector<double>& cell_values,
                                   std::size_t block) const;
+
+  bool operator==(const BlockCellMap&) const = default;
 
  private:
   std::vector<std::size_t> cell_owner_;

@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <string>
 #include <utility>
@@ -258,11 +259,19 @@ void ServeServer::worker_loop() {
       conn->pending.pop_front();
       ++conn->executing;
     }
-    execute(conn, std::move(item));
+    const std::string reply = execute(std::move(item));
+    {
+      // The admission slot frees before the reply leaves (observable state
+      // happens-before the answer it describes): a client that sends its
+      // next request the moment it reads this reply must find the slot
+      // free.  drain() still waits for the write itself, via `executing`.
+      std::lock_guard<std::mutex> lock(mu_);
+      --inflight_;
+    }
+    send_payload(conn, reply);
     {
       std::lock_guard<std::mutex> lock(mu_);
       --conn->executing;
-      --inflight_;
       if (conn->closed && conn->pending.empty() && conn->executing == 0) {
         // That was the final reply owed to a departed client.
         ::shutdown(conn->fd, SHUT_RDWR);
@@ -272,8 +281,7 @@ void ServeServer::worker_loop() {
   }
 }
 
-void ServeServer::execute(const std::shared_ptr<Connection>& conn,
-                          QueuedRequest item) {
+std::string ServeServer::execute(QueuedRequest item) {
   WireResponse resp;
   resp.id = item.request.id;
   const double deadline_ms = item.request.deadline_ms;
@@ -345,9 +353,10 @@ void ServeServer::execute(const std::shared_ptr<Connection>& conn,
         solve_start, obs::now_ns()});
   }
   // Encode before recording the final spans, and record them before the
-  // frame leaves: the moment the client sees the answer, a follow-up
-  // `trace` request must find the complete span tree (the daemon-smoke
-  // scrape depends on this).  The socket write itself is untraced.
+  // frame leaves (the caller sends it): the moment the client sees the
+  // answer, a follow-up `trace` request must find the complete span tree
+  // (the daemon-smoke scrape depends on this).  The socket write itself is
+  // untraced.
   const std::uint64_t encode_start = trace_id != 0 ? obs::now_ns() : 0;
   const std::string payload = encode_response(resp);
   if (trace_id != 0) {
@@ -358,7 +367,7 @@ void ServeServer::execute(const std::shared_ptr<Connection>& conn,
     obs::TraceRing::global().record(obs::TraceSpan{
         trace_id, item.root_span, 0, "request", item.recv_ns, end});
   }
-  send_payload(conn, payload);
+  return payload;
 }
 
 void ServeServer::send_response(const std::shared_ptr<Connection>& conn,
@@ -395,7 +404,11 @@ void ServeServer::drain() {
   {
     std::unique_lock<std::mutex> lock(mu_);
     draining_ = true;
-    cv_drain_.wait(lock, [this] { return inflight_ == 0; });
+    cv_drain_.wait(lock, [this] {
+      return inflight_ == 0 &&
+             std::all_of(conns_.begin(), conns_.end(),
+                         [](const auto& c) { return c->executing == 0; });
+    });
   }
 }
 

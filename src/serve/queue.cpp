@@ -114,11 +114,15 @@ void QueryQueue::worker_loop() {
     ++active_;
     lock.unlock();
 
-    run_batch(batch);
-
+    // Observable state happens-before the answer it describes: a caller
+    // that reads stats() right after future.get() must already see the
+    // batch its answer came from, so the counters move before run_batch
+    // fulfils any promise.
     batches_.add();
     batched_sessions_.add(batch.size());
     max_batch_seen_.observe(batch.size());
+
+    run_batch(batch);
 
     lock.lock();
     --active_;
@@ -131,11 +135,14 @@ void QueryQueue::run_batch(std::vector<SessionJob>& jobs) {
   try {
     BatchRunner runner;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      auto session = std::make_unique<SimulationSession>(jobs[i].cfg);
+      BatchRunner::Prepare prepare;
       if (jobs[i].trace_period_s > 0.0) {
-        attach_trace(*session, jobs[i].trace_period_s, traces[i]);
+        prepare = [period = jobs[i].trace_period_s,
+                   &trace = traces[i]](SimulationSession& session) {
+          attach_trace(session, period, trace);
+        };
       }
-      runner.add(std::move(session));
+      runner.add(jobs[i].cfg, std::move(prepare));
     }
     std::vector<SimulationResult> results = runner.run();
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -146,8 +153,8 @@ void QueryQueue::run_batch(std::vector<SessionJob>& jobs) {
     // One bad configuration must not poison its groupmates: retry each job
     // alone, so only the genuinely failing ones surface an exception.
     for (SessionJob& job : jobs) {
+      solo_fallbacks_.add();  // before run_solo answers, as above
       run_solo(job);
-      solo_fallbacks_.add();
     }
   }
 }

@@ -4,7 +4,6 @@
 #include <iterator>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "sim/batch_runner.hpp"
 
 namespace liquid3d {
@@ -106,19 +105,9 @@ SimulationConfig ExperimentSuite::make_config(PolicyConfig policy,
 
 std::vector<SimulationResult> ExperimentSuite::run_cells(
     std::vector<SimulationConfig> cells) {
-  if (cfg_.execution == SuiteExecution::kBatched) {
-    BatchRunner batch;
-    for (SimulationConfig& cell : cells) batch.add(std::move(cell));
-    return batch.run();
-  }
-  std::vector<SimulationResult> results(cells.size());
-  ThreadPool pool(cfg_.worker_threads == 0 ? ThreadPool::default_concurrency()
-                                           : cfg_.worker_threads);
-  pool.parallel_for(0, cells.size(), [&](std::size_t i) {
-    Simulator sim(cells[i]);
-    results[i] = sim.run();
-  });
-  return results;
+  BatchRunner batch;
+  for (SimulationConfig& cell : cells) batch.add(std::move(cell));
+  return batch.run(cfg_.worker_threads);
 }
 
 std::vector<PolicySummary> ExperimentSuite::run(

@@ -8,10 +8,16 @@
 // energy normalization the paper's plots use.
 //
 // Cells are expressed as ScenarioSpec values (sim/scenario.hpp); the legacy
-// PolicyConfig pair survives as a convenience adapter.  Execution is either
-// a ThreadPool fan-out (one session per worker) or a lockstep BatchRunner
-// (all compatible cells sharing one factorization) — both are bit-identical
-// to a serial sweep, so the choice is purely an execution-resource knob.
+// PolicyConfig pair survives as a convenience adapter.  Every run goes
+// through the one grid executor, BatchRunner (sim/batch_runner.hpp): cells
+// that share a system matrix are grouped, each group is split into
+// max(worker_threads, ceil(size / 8)) near-equal lockstep chunks, and the
+// chunks run on a worker pool, each advancing its members through one
+// shared factorization.  A chunk member holds only per-run state (its
+// warm-start factor is dropped after init, the conduction network is
+// shared), so memory stays flat while the solves are shared.  Results are
+// bit-identical to a serial sweep of solo Simulator runs at any worker
+// count.
 #pragma once
 
 #include <cstdint>
@@ -33,22 +39,16 @@ struct PolicyConfig {
 /// The seven bars of Figs. 6-7, in plot order.
 [[nodiscard]] std::vector<PolicyConfig> paper_policy_grid();
 
-/// How ExperimentSuite::run executes its cells (results are identical).
-enum class SuiteExecution {
-  kThreadPool,  ///< one session per worker thread (wall-clock parallelism)
-  kBatched,     ///< lockstep BatchRunner (shared factorizations, one thread)
-};
-
 struct SuiteConfig {
   std::size_t layer_pairs = 1;
   SimTime duration = SimTime::from_s(60);
   std::uint64_t seed = 7;
   bool dpm_enabled = true;
-  /// Worker threads for the policy x workload fan-out (0 = hardware
-  /// concurrency).  Every cell is an independent session (own thermal
-  /// model, own RNG stream), so results are bit-identical to a serial run.
+  /// Worker threads the grid executor (BatchRunner) spreads its lockstep
+  /// chunks over (0 = hardware concurrency).  Every cell keeps its own
+  /// session state and RNG stream, so results are bit-identical to serial
+  /// runs at any worker count.
   std::size_t worker_threads = 0;
-  SuiteExecution execution = SuiteExecution::kThreadPool;
   /// Base template applied to every run (thermal/power/etc. parameters).
   SimulationConfig base{};
   /// Stack specs resolvable by name from a scenario's `stack` axis (e.g.

@@ -221,6 +221,10 @@ void SimulationSession::warm_start() {
 
 void SimulationSession::init() {
   warm_start();
+  // Nothing after the warm start solves steady again: drop its factor (a
+  // ~1 MB LU on a 2-layer liquid stack) so a live session holds only
+  // per-run state until its first transient step.
+  thermal_.release_factorizations();
   tick_ = 0;
   mid_tick_ = false;
   metrics_ = MetricsCollector(cores_.size(), cfg_.metrics);

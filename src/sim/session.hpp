@@ -161,7 +161,9 @@ class SimulationSession {
   /// state temperature values", Sec. V) and reset of every aggregate.  Must
   /// be called before step(); calling it again restarts the aggregation
   /// (workload generator and scheduler state persist, as they did across
-  /// legacy `Simulator::run()` calls).
+  /// legacy `Simulator::run()` calls).  Returns holding no factorization:
+  /// the warm start's steady factor is released, since nothing after it
+  /// solves steady again.
   void init();
 
   /// Advance one sampling interval.  Returns false (and does nothing) once

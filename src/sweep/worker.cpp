@@ -9,7 +9,6 @@
 
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/simulator.hpp"
@@ -239,17 +238,16 @@ SweepWorkerStats run_sweep_shard(const SweepCellFile& shard,
       }
     }
 
-    // Phase 2: run the buildable cells of the chunk.  When quarantine
-    // already swallowed every cell (small chunks, aggressive faults) there
-    // is nothing to run — BatchRunner rejects an empty session list.
-    if (configs.empty()) {
-      // fall through to the escalation ladder
-    } else if (options.execution == SuiteExecution::kBatched) {
-      // A SolverError inside a lockstep batch aborts the whole group with
-      // no per-cell attribution, so on failure (or an injected
-      // worker.chunk fault) the chunk falls back to solo re-runs — which
-      // are bit-identical to the batch by the locked batch==solo contract,
-      // so surviving cells' bytes cannot change.
+    // Phase 2: run the buildable cells of the chunk through the lockstep
+    // executor on this thread (the fleet's parallelism is the shards).
+    // When quarantine already swallowed every cell (small chunks, aggressive
+    // faults) there is nothing to run — BatchRunner rejects an empty session
+    // list.  A SolverError inside a lockstep chunk aborts it with no
+    // per-cell attribution, so on failure (or an injected worker.chunk
+    // fault) the chunk falls back to solo re-runs — which are bit-identical
+    // to the batch by the locked batch==solo contract, so surviving cells'
+    // bytes cannot change.
+    if (!configs.empty()) {
       bool batch_ok = false;
       if (!fault_injection::should_fail("worker.chunk")) {
         try {
@@ -279,24 +277,6 @@ SweepWorkerStats run_sweep_shard(const SweepCellFile& shard,
           }
         }
       }
-    } else {
-      ThreadPool pool(options.worker_threads == 0
-                          ? ThreadPool::default_concurrency()
-                          : options.worker_threads);
-      pool.parallel_for(0, configs.size(), [&](std::size_t c) {
-        CellSlot& slot = slots[config_slot[c]];
-        try {
-          Simulator sim(configs[c]);
-          slot.result = sim.run();
-          slot.ok = true;
-        } catch (const SolverError& e) {
-          // Per-cell containment; non-solver exceptions propagate through
-          // the pool's first-exception rethrow.
-          slot.quarantined = true;
-          slot.error = e.what();
-          slot.attempts = 1;  // this pool run was the as-configured rung
-        }
-      });
     }
 
     // Phase 3: escalation ladder for everything quarantined above, serial

@@ -4,17 +4,13 @@
 // The worker reconstructs the shard's ExperimentSuite from the shard file's
 // suite metadata (so make_config — characterization artifacts, cell seeds,
 // scenario binding — is bit-for-bit the single-process path), skips cells
-// already present in the journal, and runs the rest in chunks:
-//
-//   * kBatched (default): each chunk goes through a BatchRunner, so
-//     compatible cells within the chunk share one thermal factorization in
-//     lockstep — the PR 3 multi-RHS win, now per shard;
-//   * kThreadPool: one session per worker thread, for wide shards of
-//     incompatible cells.
-//
-// Both are bit-identical to serial runs.  After a chunk completes, each
-// cell's result is appended to the journal (fsync per cell), so the
-// checkpoint granularity is `batch_limit` cells: a SIGKILL costs at most
+// already present in the journal, and runs the rest in chunks of
+// `batch_limit` cells.  Each chunk goes through the grid executor
+// (BatchRunner) on the worker's own thread — the fleet's parallelism is
+// the shards — so compatible cells within the chunk share one thermal
+// factorization in lockstep, bit-identical to serial runs.  After a chunk
+// completes, each cell's result is appended to the journal (fsync per
+// cell), so the checkpoint granularity is `batch_limit` cells: a SIGKILL costs at most
 // one chunk of recomputation and never corrupts the journal.
 //
 // Failure containment: a SolverError anywhere in a cell's solve is a
@@ -39,7 +35,6 @@
 namespace liquid3d {
 
 struct SweepWorkerOptions {
-  SuiteExecution execution = SuiteExecution::kBatched;
   /// Cells per lockstep chunk (checkpoint granularity).  1 = journal after
   /// every single cell; larger values trade resume granularity for more
   /// factorization sharing.
@@ -48,9 +43,6 @@ struct SweepWorkerOptions {
   /// partially complete).  Drives deterministic kill/resume tests and the
   /// CI smoke job; production workers leave it unlimited.
   std::size_t max_new_cells = static_cast<std::size_t>(-1);
-  /// Worker threads for the kThreadPool execution (0 = hardware
-  /// concurrency).
-  std::size_t worker_threads = 0;
   /// Solve attempts per cell before it is journaled as FAILED: 1 = as
   /// configured, 2 = direct backend, 3 = direct backend with relaxed
   /// tolerances.  Values above 3 repeat the most-relaxed rung.

@@ -1,13 +1,16 @@
 #include "thermal/model3d.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
+#include <tuple>
 
 #include "common/error.hpp"
+#include "common/weak_intern.hpp"
 #include "obs/metrics.hpp"
 
 namespace liquid3d {
@@ -49,6 +52,20 @@ void fnv_mix(std::uint64_t& h, double v) {
 }
 }  // namespace
 
+std::shared_ptr<const ThermalModel3D::ConductionNetwork>
+ThermalModel3D::share_network(ConductionNetwork&& net, std::uint64_t fingerprint) {
+  static WeakIntern<std::uint64_t, const ConductionNetwork> live;
+  bool built = false;
+  std::shared_ptr<const ConductionNetwork> shared = live.get(fingerprint, [&] {
+    built = true;
+    return std::make_shared<const ConductionNetwork>(std::move(net));
+  });
+  // A hit is confirmed by full equality, so a fingerprint collision costs
+  // only the sharing, never the answer.
+  if (built || *shared == net) return shared;
+  return std::make_shared<const ConductionNetwork>(std::move(net));
+}
+
 ThermalModel3D::ThermalModel3D(Stack3D stack, ThermalModelParams params)
     : stack_(std::move(stack)),
       params_(params),
@@ -60,10 +77,6 @@ ThermalModel3D::ThermalModel3D(Stack3D stack, ThermalModelParams params)
   LIQUID3D_REQUIRE(layer_count_ >= 1, "stack must have at least one layer");
   backend_ = resolve_solver_backend(params_.solver_backend, node_count_,
                                     grid_.cols() * layer_count_);
-  maps_.reserve(layer_count_);
-  for (std::size_t l = 0; l < layer_count_; ++l) {
-    maps_.emplace_back(grid_, stack_.layer(l).floorplan);
-  }
   temps_.assign(node_count_, params_.ambient_temperature);
   cell_power_.assign(node_count_, 0.0);
   rhs_.assign(node_count_, 0.0);
@@ -83,9 +96,13 @@ ThermalModel3D::ThermalModel3D(Stack3D stack, ThermalModelParams params)
 }
 
 void ThermalModel3D::build_topology() {
-  capacitance_.assign(node_count_, 0.0);
-  ext_diag_.assign(node_count_, 0.0);
-  couplings_.clear();
+  ConductionNetwork net;
+  net.maps.reserve(layer_count_);
+  for (std::size_t l = 0; l < layer_count_; ++l) {
+    net.maps.emplace_back(grid_, stack_.layer(l).floorplan);
+  }
+  net.capacitance.assign(node_count_, 0.0);
+  net.ext_diag.assign(node_count_, 0.0);
 
   const double a_cell = grid_.cell_area();
   const double k_si = params_.silicon_conductivity;
@@ -100,7 +117,7 @@ void ThermalModel3D::build_topology() {
     const double c_node =
         params_.silicon_volumetric_heat_capacity * a_cell * stack_.layer(l).die_thickness;
     for (std::size_t cell = 0; cell < cell_count_; ++cell) {
-      capacitance_[node(l, cell)] = c_node;
+      net.capacitance[node(l, cell)] = c_node;
     }
   }
   if (stack_.has_cavities()) {
@@ -119,7 +136,7 @@ void ThermalModel3D::build_topology() {
       const double share_below = (l == 0) ? 1.0 : 0.5;
       const double share_above = (l == layer_count_ - 1) ? 1.0 : 0.5;
       for (std::size_t cell = 0; cell < cell_count_; ++cell) {
-        capacitance_[node(l, cell)] += c_cavity * (share_below + share_above);
+        net.capacitance[node(l, cell)] += c_cavity * (share_below + share_above);
       }
     }
   }
@@ -133,10 +150,10 @@ void ThermalModel3D::build_topology() {
       for (std::size_t c = 0; c < grid_.cols(); ++c) {
         const std::size_t cell = grid_.index(r, c);
         if (c + 1 < grid_.cols()) {
-          couplings_.push_back({node(l, cell), node(l, grid_.index(r, c + 1)), g_col});
+          net.couplings.push_back({node(l, cell), node(l, grid_.index(r, c + 1)), g_col});
         }
         if (r + 1 < grid_.rows()) {
-          couplings_.push_back({node(l, cell), node(l, grid_.index(r + 1, c)), g_row});
+          net.couplings.push_back({node(l, cell), node(l, grid_.index(r + 1, c)), g_row});
         }
       }
     }
@@ -197,7 +214,7 @@ void ThermalModel3D::build_topology() {
         const double r_mid = 1.0 / (g_wall + g_tsv);
         const double g =
             1.0 / (r_beol_cell(l) + r_mid + r_slab_cell(l + 1));
-        couplings_.push_back({node(l, cell), node(l + 1, cell), g});
+        net.couplings.push_back({node(l, cell), node(l + 1, cell), g});
       }
     }
 
@@ -206,12 +223,12 @@ void ThermalModel3D::build_topology() {
     for (std::size_t k = 0; k <= layer_count_; ++k) {
       if (k >= 1) {
         for (std::size_t cell = 0; cell < cell_count_; ++cell) {
-          ext_diag_[node(k - 1, cell)] += g_fluid_dn_;
+          net.ext_diag[node(k - 1, cell)] += g_fluid_dn_;
         }
       }
       if (k < layer_count_) {
         for (std::size_t cell = 0; cell < cell_count_; ++cell) {
-          ext_diag_[node(k, cell)] += g_fluid_up_;
+          net.ext_diag[node(k, cell)] += g_fluid_up_;
         }
       }
     }
@@ -226,14 +243,14 @@ void ThermalModel3D::build_topology() {
             stack_.tsvs().cu_conductivity * tsv_area_cell[cell] / t_bond;
         const double r_mid = 1.0 / (g_bond + g_tsv);
         const double g = 1.0 / (r_beol_cell(l) + r_mid + r_slab_cell(l + 1));
-        couplings_.push_back({node(l, cell), node(l + 1, cell), g});
+        net.couplings.push_back({node(l, cell), node(l + 1, cell), g});
       }
     }
     // Top layer -> spreader through BEOL + TIM.
     const double r_tim_cell = params_.tim_thickness / (params_.tim_conductivity * a_cell);
     g_package_ = 1.0 / (r_beol_cell(layer_count_ - 1) + r_tim_cell);
     for (std::size_t cell = 0; cell < cell_count_; ++cell) {
-      ext_diag_[node(layer_count_ - 1, cell)] += g_package_;
+      net.ext_diag[node(layer_count_ - 1, cell)] += g_package_;
     }
   }
 
@@ -251,9 +268,9 @@ void ThermalModel3D::build_topology() {
   fnv_mix(h, static_cast<std::uint64_t>(grid_.rows()));
   fnv_mix(h, static_cast<std::uint64_t>(grid_.cols()));
   fnv_mix(h, static_cast<std::uint64_t>(liquid ? 1 : 0));
-  for (double c : capacitance_) fnv_mix(h, c);
-  for (double g : ext_diag_) fnv_mix(h, g);
-  for (const Coupling& c : couplings_) {
+  for (double c : net.capacitance) fnv_mix(h, c);
+  for (double g : net.ext_diag) fnv_mix(h, g);
+  for (const Coupling& c : net.couplings) {
     fnv_mix(h, static_cast<std::uint64_t>(c.a));
     fnv_mix(h, static_cast<std::uint64_t>(c.b));
     fnv_mix(h, c.g);
@@ -262,11 +279,13 @@ void ThermalModel3D::build_topology() {
   fnv_mix(h, g_fluid_up_);
   fnv_mix(h, g_package_);
   topo_fingerprint_ = h;
+  net.couplings.shrink_to_fit();
+  net_ = share_network(std::move(net), h);
 }
 
 void ThermalModel3D::set_block_power(std::size_t layer, const std::vector<double>& watts) {
   LIQUID3D_REQUIRE(layer < layer_count_, "layer index out of range");
-  const BlockCellMap& map = maps_[layer];
+  const BlockCellMap& map = net_->maps[layer];
   LIQUID3D_REQUIRE(watts.size() == map.block_count(), "block power arity mismatch");
   for (std::size_t cell = 0; cell < cell_count_; ++cell) {
     cell_power_[node(layer, cell)] = 0.0;
@@ -319,9 +338,9 @@ void ThermalModel3D::initialize(double temperature_c) {
 template <typename MatrixT>
 void ThermalModel3D::stamp_system(MatrixT& m, double inv_dt) const {
   for (std::size_t i = 0; i < node_count_; ++i) {
-    m.add_diagonal(i, capacitance_[i] * inv_dt + ext_diag_[i]);
+    m.add_diagonal(i, net_->capacitance[i] * inv_dt + net_->ext_diag[i]);
   }
-  for (const Coupling& c : couplings_) {
+  for (const Coupling& c : net_->couplings) {
     m.add_coupling(c.a, c.b, c.g);
   }
 }
@@ -333,21 +352,31 @@ void ThermalModel3D::build_matrix(BandedSpdMatrix& m, double inv_dt) const {
 
 const BandedSpdMatrix& ThermalModel3D::matrix_for_dt(double dt_s) {
   if (const BandedSpdMatrix* cached = factor_cache_.find(dt_s)) return *cached;
-  static obs::Histogram& assemble_h =
-      obs::Registry::global().histogram("liquid3d_solver_assemble_seconds");
-  static obs::Histogram& factorize_h =
-      obs::Registry::global().histogram("liquid3d_solver_factorize_seconds");
+  // The factor depends only on the shared network, the band, and dt, so a
+  // miss first adopts a live factor another model built for the identical
+  // system (the leads of concurrent lockstep chunks, a model pool) —
+  // bit-identical to building it here.
+  using Key = std::tuple<const ConductionNetwork*, std::size_t, std::uint64_t>;
+  static WeakIntern<Key, BandedSpdMatrix> live;
   const std::size_t bw = grid_.cols() * layer_count_;
-  auto m = std::make_unique<BandedSpdMatrix>(node_count_, bw);
-  {
-    obs::ScopedTimer t(assemble_h);
-    build_matrix(*m, 1.0 / dt_s);
-  }
-  {
-    obs::ScopedTimer t(factorize_h);
-    m->factorize();
-  }
-  return factor_cache_.insert(dt_s, std::move(m));
+  std::shared_ptr<BandedSpdMatrix> factor =
+      live.get(Key{net_.get(), bw, std::bit_cast<std::uint64_t>(dt_s)}, [&] {
+        static obs::Histogram& assemble_h =
+            obs::Registry::global().histogram("liquid3d_solver_assemble_seconds");
+        static obs::Histogram& factorize_h =
+            obs::Registry::global().histogram("liquid3d_solver_factorize_seconds");
+        auto m = std::make_shared<BandedSpdMatrix>(node_count_, bw);
+        {
+          obs::ScopedTimer t(assemble_h);
+          build_matrix(*m, 1.0 / dt_s);
+        }
+        {
+          obs::ScopedTimer t(factorize_h);
+          m->factorize();
+        }
+        return m;
+      });
+  return factor_cache_.insert(dt_s, std::move(factor));
 }
 
 void ThermalModel3D::build_sparse_matrix(SparseMatrix& m, double inv_dt) const {
@@ -433,8 +462,9 @@ double ThermalModel3D::march_all_fluid() {
 
 void ThermalModel3D::assemble_transient_rhs(double inv_dt, double* out) const {
   // Stored heat + injected power + external couplings.
+  const double* const capacitance = net_->capacitance.data();
   for (std::size_t i = 0; i < node_count_; ++i) {
-    out[i] = capacitance_[i] * inv_dt * temps_prev_[i] + cell_power_[i];
+    out[i] = capacitance[i] * inv_dt * temps_prev_[i] + cell_power_[i];
   }
   if (stack_.has_cavities()) {
     for (std::size_t k = 0; k <= layer_count_; ++k) {
@@ -565,7 +595,7 @@ void ThermalModel3D::build_steady_direct_system(BandedLuMatrix& m,
   inlet_coef.assign(node_count_, 0.0);
   // Conduction network (no capacitance term: this is the true steady state,
   // not a pseudo-transient step).
-  for (const Coupling& c : couplings_) {
+  for (const Coupling& c : net_->couplings) {
     m.add(c.a, c.a, c.g);
     m.add(c.b, c.b, c.g);
     m.add(c.a, c.b, -c.g);
@@ -697,7 +727,7 @@ void ThermalModel3D::export_steady_operator(SteadyOperator& out) const {
     const auto add = [&rows](std::size_t i, std::size_t j, double v) {
       rows[i][j] += v;
     };
-    for (const Coupling& c : couplings_) {
+    for (const Coupling& c : net_->couplings) {
       add(c.a, c.a, c.g);
       add(c.b, c.b, c.g);
       add(c.a, c.b, -c.g);
@@ -732,7 +762,7 @@ void ThermalModel3D::export_steady_operator(SteadyOperator& out) const {
 
   out.block_inputs.assign(layer_count_, {});
   for (std::size_t l = 0; l < layer_count_; ++l) {
-    const BlockCellMap& map = maps_[l];
+    const BlockCellMap& map = net_->maps[l];
     out.block_inputs[l].resize(map.block_count());
     for (std::size_t b = 0; b < map.block_count(); ++b) {
       auto& shares = out.block_inputs[l][b];
@@ -760,22 +790,38 @@ void ThermalModel3D::solve_steady_state_direct(const std::function<bool()>& pre_
     }
   }
   if (!key_matches) {
-    static obs::Histogram& assemble_h =
-        obs::Registry::global().histogram("liquid3d_solver_assemble_seconds");
-    static obs::Histogram& factorize_h =
-        obs::Registry::global().histogram("liquid3d_solver_factorize_seconds");
-    const std::size_t bw = grid_.cols() * layer_count_;
-    if (!steady_direct_) {
-      steady_direct_ = std::make_unique<BandedLuMatrix>(node_count_, bw, bw);
+    // Shared like the transient factors: every input of the elimination
+    // enters the key bit for bit, so an adopted system is the one this
+    // model would build.
+    using Key = std::pair<const ConductionNetwork*, std::vector<std::uint64_t>>;
+    static WeakIntern<Key, const SteadyDirectSystem> live;
+    Key key{net_.get(),
+            {grid_.rows(), grid_.cols(), params_.alternate_flow_direction,
+             std::bit_cast<std::uint64_t>(g_fluid_dn_),
+             std::bit_cast<std::uint64_t>(g_fluid_up_),
+             std::bit_cast<std::uint64_t>(params_.coolant.volumetric_heat_capacity())}};
+    for (const VolumetricFlow& f : cavity_flows_) {
+      key.second.push_back(std::bit_cast<std::uint64_t>(f.m3_per_s()));
     }
-    {
-      obs::ScopedTimer t(assemble_h);
-      build_steady_direct_system(*steady_direct_, steady_inlet_coef_);
-    }
-    {
-      obs::ScopedTimer t(factorize_h);
-      steady_direct_->factorize();
-    }
+    steady_direct_ = nullptr;  // never hold two systems at once
+    steady_direct_ = live.get(key, [&] {
+      static obs::Histogram& assemble_h =
+          obs::Registry::global().histogram("liquid3d_solver_assemble_seconds");
+      static obs::Histogram& factorize_h =
+          obs::Registry::global().histogram("liquid3d_solver_factorize_seconds");
+      const std::size_t bw = grid_.cols() * layer_count_;
+      auto sys = std::make_shared<SteadyDirectSystem>(
+          SteadyDirectSystem{BandedLuMatrix(node_count_, bw, bw), {}});
+      {
+        obs::ScopedTimer t(assemble_h);
+        build_steady_direct_system(sys->lu, sys->inlet_coef);
+      }
+      {
+        obs::ScopedTimer t(factorize_h);
+        sys->lu.factorize();
+      }
+      return std::shared_ptr<const SteadyDirectSystem>(std::move(sys));
+    });
     steady_direct_flows_.resize(cavity_flows_.size());
     for (std::size_t k = 0; k < cavity_flows_.size(); ++k) {
       steady_direct_flows_[k] = cavity_flows_[k].ml_per_min();
@@ -792,13 +838,13 @@ void ThermalModel3D::solve_steady_state_direct(const std::function<bool()>& pre_
   for (std::size_t iter = 0; iter < kMaxPowerIterations; ++iter) {
     if (pre_step && !pre_step()) return;
     for (std::size_t i = 0; i < node_count_; ++i) {
-      rhs_[i] = cell_power_[i] + steady_inlet_coef_[i] * inlet_temperature_;
+      rhs_[i] = cell_power_[i] + steady_direct_->inlet_coef[i] * inlet_temperature_;
     }
     static obs::Histogram& solve_h = obs::Registry::global().histogram(
         "liquid3d_solver_direct_solve_seconds");
     {
       obs::ScopedTimer t(solve_h);
-      steady_direct_->solve(rhs_);
+      steady_direct_->lu.solve(rhs_);
     }
     double delta = 0.0;
     for (std::size_t i = 0; i < node_count_; ++i) {
@@ -889,6 +935,13 @@ void ThermalModel3D::solve_steady_state(const std::function<bool()>& pre_step) {
       to_string(backend_), params_.max_steady_iterations, delta);
 }
 
+void ThermalModel3D::release_factorizations() {
+  factor_cache_.clear();
+  pcg_cache_.clear();
+  steady_direct_.reset();
+  steady_direct_flows_.clear();
+}
+
 double ThermalModel3D::cell_temperature(std::size_t layer, std::size_t cell) const {
   LIQUID3D_REQUIRE(layer < layer_count_ && cell < cell_count_, "index out of range");
   return temps_[node(layer, cell)];
@@ -899,7 +952,7 @@ double ThermalModel3D::block_temperature(std::size_t layer, std::size_t block) c
   for (std::size_t cell = 0; cell < cell_count_; ++cell) {
     layer_scratch_[cell] = temps_[node(layer, cell)];
   }
-  return maps_[layer].block_max(layer_scratch_, block);
+  return net_->maps[layer].block_max(layer_scratch_, block);
 }
 
 double ThermalModel3D::block_mean_temperature(std::size_t layer, std::size_t block) const {
@@ -907,7 +960,7 @@ double ThermalModel3D::block_mean_temperature(std::size_t layer, std::size_t blo
   for (std::size_t cell = 0; cell < cell_count_; ++cell) {
     layer_scratch_[cell] = temps_[node(layer, cell)];
   }
-  return maps_[layer].block_mean(layer_scratch_, block);
+  return net_->maps[layer].block_mean(layer_scratch_, block);
 }
 
 double ThermalModel3D::max_temperature() const {

@@ -160,7 +160,7 @@ class ThermalModel3D {
   [[nodiscard]] const ThermalModelParams& params() const { return params_; }
   [[nodiscard]] std::size_t layer_count() const { return layer_count_; }
   [[nodiscard]] const BlockCellMap& block_map(std::size_t layer) const {
-    return maps_.at(layer);
+    return net_->maps.at(layer);
   }
   [[nodiscard]] std::size_t node_count() const { return node_count_; }
 
@@ -243,6 +243,15 @@ class ThermalModel3D {
   [[nodiscard]] const FactorizationCache& factorization_cache() const {
     return factor_cache_;
   }
+  /// Whether the direct steady solve's LU factor is held (liquid stacks).
+  [[nodiscard]] bool steady_factorization_cached() const {
+    return steady_direct_ != nullptr;
+  }
+  /// Drop every cached factorization and solver system (transient, steady
+  /// pseudo-step, direct steady LU, PCG).  Results do not change — the next
+  /// solve rebuilds what it needs, bit for bit — so a caller that knows a
+  /// factor will not be used again (a warm start's steady LU) frees it.
+  void release_factorizations();
 
   /// The backend this model resolved to (never kAuto).
   [[nodiscard]] SolverBackend solver_backend() const { return backend_; }
@@ -276,7 +285,22 @@ class ThermalModel3D {
     std::size_t a;
     std::size_t b;
     double g;
+    bool operator==(const Coupling&) const = default;
   };
+  /// The immutable topology of a model: the conduction network
+  /// build_matrix stamps plus the floorplan rasterization.  Models with an
+  /// equal network share one copy (share_network), so many live models of
+  /// one stack — a lockstep chunk, a model pool — hold it once.
+  struct ConductionNetwork {
+    std::vector<BlockCellMap> maps;  ///< per layer
+    std::vector<Coupling> couplings;
+    std::vector<double> capacitance;  ///< per node [J/K]
+    std::vector<double> ext_diag;     ///< per node: total conductance to
+                                      ///< external (fluid/package) temps [W/K]
+    bool operator==(const ConductionNetwork&) const = default;
+  };
+  [[nodiscard]] static std::shared_ptr<const ConductionNetwork> share_network(
+      ConductionNetwork&& net, std::uint64_t fingerprint);
 
   [[nodiscard]] std::size_t node(std::size_t layer, std::size_t cell) const {
     return cell * layer_count_ + layer;
@@ -292,8 +316,9 @@ class ThermalModel3D {
   /// same stamp, for the iterative backend.
   void build_sparse_matrix(SparseMatrix& m, double inv_dt) const;
   /// Factorized system matrix for the given step size — a cache lookup
-  /// after the first use of each dt (assembly + factorization on miss).
-  /// Direct backend only.
+  /// after the first use of each dt.  On a miss it adopts the live factor
+  /// of an identical system from another model (same shared network, band,
+  /// and dt) and builds one only when none is alive.  Direct backend only.
   const BandedSpdMatrix& matrix_for_dt(double dt_s);
   /// PCG system (CSR operator + preconditioner) for the given step size —
   /// cached per dt exactly like the banded factorizations.
@@ -328,17 +353,13 @@ class ThermalModel3D {
   Stack3D stack_;
   ThermalModelParams params_;
   Grid grid_;
-  std::vector<BlockCellMap> maps_;
   std::size_t layer_count_;
   std::size_t cell_count_;
   std::size_t node_count_;
 
   // Static topology.
   std::uint64_t topo_fingerprint_ = 0;
-  std::vector<Coupling> couplings_;
-  std::vector<double> capacitance_;  ///< per node [J/K]
-  std::vector<double> ext_diag_;     ///< per node: total conductance to
-                                     ///< external (fluid/package) temps [W/K]
+  std::shared_ptr<const ConductionNetwork> net_;
   // Per-cavity convective conductances per cell (uniform over cells).
   double g_fluid_dn_ = 0.0;  ///< cavity fluid <-> layer below (BEOL face)
   double g_fluid_up_ = 0.0;  ///< cavity fluid <-> layer above (slab face)
@@ -370,8 +391,13 @@ class ThermalModel3D {
   // Direct steady system, cached per flow *vector* (the elimination
   // coefficients depend on every cavity's flow; conduction topology does
   // not).  A change to any single cavity's flow invalidates the cache.
-  std::unique_ptr<BandedLuMatrix> steady_direct_;
-  std::vector<double> steady_inlet_coef_;
+  // Shared, like the transient factors, with models solving the identical
+  // system (same network and flows).
+  struct SteadyDirectSystem {
+    BandedLuMatrix lu;
+    std::vector<double> inlet_coef;
+  };
+  std::shared_ptr<const SteadyDirectSystem> steady_direct_;
   std::vector<double> steady_direct_flows_;  ///< ml/min key; empty = not built
 
   // Persistent scratch — the hot loop (`step`/`advance`) and the per-sample

@@ -62,7 +62,7 @@ class DtKeyedLruCache {
 
   /// Insert a system under `dt`, evicting the least recently used entry
   /// when at capacity.  Returns the cached system.
-  SystemT& insert(double dt, std::unique_ptr<SystemT> system) {
+  SystemT& insert(double dt, std::shared_ptr<SystemT> system) {
     LIQUID3D_REQUIRE(system != nullptr, "cannot cache a null system");
     for (Entry& e : entries_) {
       if (keys_match(e.dt, dt)) {
@@ -93,7 +93,7 @@ class DtKeyedLruCache {
   struct Entry {
     double dt;
     std::uint64_t stamp;
-    std::unique_ptr<SystemT> system;
+    std::shared_ptr<SystemT> system;  ///< may be shared with other caches
   };
 
   std::size_t capacity_;

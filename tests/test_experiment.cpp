@@ -3,6 +3,7 @@
 
 #include "common/error.hpp"
 #include "sim/experiment.hpp"
+#include "sim/report.hpp"
 
 namespace liquid3d {
 namespace {
@@ -125,27 +126,36 @@ TEST(Experiment, CellResultsInvariantUnderGridReordering) {
   }
 }
 
-TEST(Experiment, BatchedExecutionMatchesThreadPool) {
-  SuiteConfig sc = tiny_suite();
-  sc.duration = SimTime::from_s(3);
-  const std::vector<PolicyConfig> policies = {
-      {Policy::kLoadBalancing, CoolingMode::kLiquidMax},
-      {Policy::kLoadBalancing, CoolingMode::kAir},
-  };
-  const std::vector<BenchmarkSpec> workloads = {*find_benchmark("gzip"),
-                                                *find_benchmark("Web-med")};
+TEST(Experiment, GridExecutorMatchesSoloRunsAtAnyWorkerCount) {
+  // The one grid executor over the full 56-cell paper grid: lockstep chunks
+  // of the air and liquid groups, spread over 1, 2 and 4 workers, are
+  // bit-identical to solo Simulator runs of the same cells.
+  SuiteConfig sc;
+  sc.duration = SimTime::from_s(1);
+  const std::vector<ScenarioSpec> scenarios = paper_scenario_grid();
+  const std::vector<BenchmarkSpec>& workloads = table2_benchmarks();
+  ASSERT_EQ(scenarios.size() * workloads.size(), 56u);
 
-  ExperimentSuite pooled(sc);
-  sc.execution = SuiteExecution::kBatched;
-  ExperimentSuite batched(sc);
-  const auto res_pool = pooled.run(policies, workloads);
-  const auto res_batch = batched.run(policies, workloads);
-  ASSERT_EQ(res_pool.size(), res_batch.size());
-  for (std::size_t p = 0; p < res_pool.size(); ++p) {
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-      SCOPED_TRACE(res_pool[p].label);
-      expect_same_result(res_pool[p].per_workload[w],
-                         res_batch[p].per_workload[w]);
+  ExperimentSuite reference(sc);
+  std::vector<std::vector<SimulationResult>> solo(scenarios.size());
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    for (const BenchmarkSpec& wl : workloads) {
+      solo[s].push_back(Simulator(reference.make_config(scenarios[s], wl)).run());
+    }
+  }
+
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    sc.worker_threads = workers;
+    ExperimentSuite suite(sc);
+    const std::vector<PolicySummary> grid = suite.run(scenarios, workloads);
+    ASSERT_EQ(grid.size(), scenarios.size());
+    for (std::size_t s = 0; s < scenarios.size(); ++s) {
+      ASSERT_EQ(grid[s].per_workload.size(), workloads.size());
+      for (std::size_t w = 0; w < workloads.size(); ++w) {
+        EXPECT_TRUE(results_identical(grid[s].per_workload[w], solo[s][w]))
+            << scenarios[s].name << " / " << workloads[w].name;
+      }
     }
   }
 }

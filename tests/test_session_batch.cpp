@@ -243,7 +243,8 @@ TEST(BatchRunner, EightSessionsBitIdenticalToSerialRuns) {
   const std::vector<SimulationResult> batched = batch.run();
   ASSERT_EQ(batched.size(), 8u);
   EXPECT_EQ(batch.group_count(), 1u);  // one shared factorization group
-  EXPECT_GT(batch.stepper().solved_columns(), batch.stepper().shared_solves());
+  EXPECT_EQ(batch.chunks_run(), 1u);   // eight members fit one chunk
+  EXPECT_GT(batch.solved_columns(), batch.shared_solves());
   for (std::size_t i = 0; i < 8; ++i) {
     SCOPED_TRACE(workloads[i]);
     expect_bit_identical(batched[i], serial[i]);
@@ -281,6 +282,92 @@ TEST(BatchRunner, IncompatibleTopologiesFormSeparateGroups) {
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(batch.group_count(), 3u);
   for (const SimulationResult& r : results) EXPECT_GT(r.avg_tmax, 40.0);
+}
+
+TEST(BatchRunner, ChunkRuleSpreadsGroupsOverWorkersWithoutNarrowChunks) {
+  // max(threads, ceil(size / 8)) chunks, capped at the group size.
+  EXPECT_EQ(BatchRunner::chunk_count(24, 4), 4u);  // paper-grid air: width 6
+  EXPECT_EQ(BatchRunner::chunk_count(32, 4), 4u);  // paper-grid liquid: width 8
+  EXPECT_EQ(BatchRunner::chunk_count(8, 1), 1u);
+  EXPECT_EQ(BatchRunner::chunk_count(17, 1), 3u);  // never wider than 8
+  EXPECT_EQ(BatchRunner::chunk_count(40, 2), 5u);
+  EXPECT_EQ(BatchRunner::chunk_count(2, 4), 2u);   // never an empty chunk
+  EXPECT_EQ(BatchRunner::chunk_count(1, 1), 1u);
+}
+
+TEST(BatchRunner, MultiWorkerChunksBitIdenticalToSerialRuns) {
+  // Eleven liquid and five air cells on three workers: both groups split
+  // into three chunks that run concurrently, each with its own stepper.
+  const char* workloads[] = {"Web-med", "Web-high", "gzip", "Database",
+                             "Web&DB",  "gcc",      "MPlayer", "MPlayer&Web"};
+  std::vector<SimulationConfig> cells;
+  for (std::size_t i = 0; i < 11; ++i) {
+    cells.push_back(session_config(200 + i, workloads[i % 8]));
+    cells.back().duration = SimTime::from_s(1 + i % 3);  // ragged lockstep
+  }
+  for (std::size_t i = 0; i < 5; ++i) {
+    cells.push_back(session_config(300 + i, workloads[i], CoolingMode::kAir));
+  }
+  std::vector<SimulationResult> serial;
+  BatchRunner batch;
+  for (const SimulationConfig& cfg : cells) {
+    serial.push_back(Simulator(cfg).run());
+    batch.add(cfg);
+  }
+  const std::vector<SimulationResult> batched = batch.run(3);
+  ASSERT_EQ(batched.size(), cells.size());
+  EXPECT_EQ(batch.group_count(), 2u);
+  EXPECT_EQ(batch.chunks_run(), 6u);
+  EXPECT_GT(batch.solved_columns(), batch.shared_solves());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_bit_identical(batched[i], serial[i]);
+  }
+}
+
+TEST(BatchRunner, MembersHoldNoFactorizationAfterInit) {
+  // init() drops the warm-start factor (the direct steady LU on liquid, the
+  // pseudo-transient factor on air), so once the first lockstep tick has
+  // run, a chunk's only factor is its lead's transient one: every member
+  // reports an empty steady slot and the chunk's caches hold one entry.
+  for (const CoolingMode cooling : {CoolingMode::kLiquidMax, CoolingMode::kAir}) {
+    SCOPED_TRACE(to_string(cooling));
+    constexpr std::size_t kMembers = 4;
+    std::vector<const SimulationSession*> members(kMembers, nullptr);
+    std::vector<std::size_t> cached(kMembers, 99);
+    std::vector<bool> steady_lu(kMembers, true);
+    BatchRunner batch;
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      SimulationConfig cfg = session_config(400 + i, "gzip", cooling);
+      cfg.duration = SimTime::from_s(1);
+      batch.add(cfg, [&, i](SimulationSession& s) {
+        members[i] = &s;
+        s.set_trace_callback([&, i](const SampleTrace&) {
+          if (cached[i] != 99) return;  // first tick only
+          cached[i] = members[i]->thermal().factorization_cache().size();
+          steady_lu[i] = members[i]->thermal().steady_factorization_cached();
+        });
+      });
+    }
+    (void)batch.run();
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      EXPECT_FALSE(steady_lu[i]) << "member " << i;
+      EXPECT_LE(cached[i], 1u) << "member " << i;
+      total += cached[i];
+    }
+    EXPECT_EQ(total, 1u);  // the lead's transient factor, shared by all
+  }
+}
+
+TEST(SimulationSession, InitReleasesWarmStartFactorization) {
+  for (const CoolingMode cooling : {CoolingMode::kLiquidVar, CoolingMode::kAir}) {
+    SCOPED_TRACE(to_string(cooling));
+    SimulationSession s(session_config(5, "gzip", cooling));
+    s.init();
+    EXPECT_EQ(s.thermal().factorization_cache().size(), 0u);
+    EXPECT_FALSE(s.thermal().steady_factorization_cached());
+  }
 }
 
 }  // namespace

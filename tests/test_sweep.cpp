@@ -483,12 +483,14 @@ TEST_F(SweepEndToEnd, SingleCellGridAndEmptyShardsWork) {
   cleanup(journals);
 }
 
-TEST_F(SweepEndToEnd, ThreadPoolExecutionMatchesBatched) {
+TEST_F(SweepEndToEnd, SingleCellChunksMatchDefaultChunks) {
+  // batch_limit = 1 runs every cell as a lockstep chunk of one (a solo
+  // run); the default chunks share factorizations.  The journals merge to
+  // the same bytes.
   const SweepGridSpec grid = tiny_grid();
-  SweepWorkerOptions pooled;
-  pooled.execution = SuiteExecution::kThreadPool;
-  pooled.worker_threads = 2;
-  const std::vector<std::string> a = run_sharded(grid, 2, pooled, "pool");
+  SweepWorkerOptions single;
+  single.batch_limit = 1;
+  const std::vector<std::string> a = run_sharded(grid, 2, single, "single");
   const std::vector<std::string> b = run_sharded(grid, 2, {}, "batch");
   auto load_all = [](const std::vector<std::string>& paths) {
     std::vector<JournalEntry> entries;

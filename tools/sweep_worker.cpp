@@ -63,15 +63,13 @@ int usage(const char* argv0) {
       << "         [--seed N] [--dpm 0|1] [--grid-rows N] [--grid-cols N]\n"
       << "         [--stack PRESET|FILE]\n"
       << "  run    --shard FILE --journal FILE [--batch N] [--max-cells N]\n"
-      << "         [--execution batched|threadpool] [--threads N]\n"
       << "         [--attempts N]\n"
       << "  merge  --plan FILE --out FILE [--json FILE] [--allow-partial]\n"
       << "         [--manifest FILE] JOURNAL...\n"
       << "  single --plan FILE --out FILE [--json FILE]\n"
       << "  supervise --dir DIR [--prefix sweep] [--max-restarts N]\n"
       << "         [--stall-timeout-ms N] [--backoff-ms N] [--poll-ms N]\n"
-      << "         [--batch N] [--execution batched|threadpool]\n"
-      << "         [--threads N] [--attempts N]\n"
+      << "         [--batch N] [--attempts N]\n"
       << "  validate --stack FILE\n"
       << "         Parse and sanity-check a stack file; exit 2 with the\n"
       << "         diagnostic on failure.\n";
@@ -228,21 +226,9 @@ int cmd_run(Args& args) {
     } else if (flag == "--max-cells") {
       options.max_new_cells =
           static_cast<std::size_t>(parse_u64(args.value(flag), flag));
-    } else if (flag == "--threads") {
-      options.worker_threads =
-          static_cast<std::size_t>(parse_u64(args.value(flag), flag));
     } else if (flag == "--attempts") {
       options.max_cell_attempts =
           static_cast<std::size_t>(parse_u64(args.value(flag), flag));
-    } else if (flag == "--execution") {
-      const std::string mode = args.value(flag);
-      if (mode == "batched") {
-        options.execution = SuiteExecution::kBatched;
-      } else if (mode == "threadpool") {
-        options.execution = SuiteExecution::kThreadPool;
-      } else {
-        throw ConfigError("unknown execution mode '" + mode + "'");
-      }
     } else {
       throw ConfigError("unknown run option '" + flag + "'");
     }
@@ -343,8 +329,7 @@ int cmd_supervise(Args& args) {
     } else if (flag == "--poll-ms") {
       options.poll_interval =
           std::chrono::milliseconds(parse_u64(args.value(flag), flag));
-    } else if (flag == "--batch" || flag == "--execution" ||
-               flag == "--threads" || flag == "--attempts") {
+    } else if (flag == "--batch" || flag == "--attempts") {
       // Forwarded verbatim to every spawned `run` child.
       worker_flags.push_back(flag);
       worker_flags.push_back(args.value(flag));
