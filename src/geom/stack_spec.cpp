@@ -3,7 +3,6 @@
 #include <array>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <istream>
@@ -281,12 +280,6 @@ StackSpec niagara_stack_spec(std::size_t layer_pairs, CoolingType cooling) {
 
 namespace {
 
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 std::string trim(const std::string& s) {
   std::size_t begin = 0;
   std::size_t end = s.size();
@@ -480,34 +473,34 @@ void write_stack_file(std::ostream& out, const StackSpec& spec) {
   out << "[stack]\n";
   out << "name = " << spec.name << "\n";
   out << "cooling = " << to_string(spec.cooling) << "\n";
-  out << "die_width = " << fmt_double(spec.die_width) << "\n";
-  out << "die_height = " << fmt_double(spec.die_height) << "\n";
+  out << "die_width = " << format_double(spec.die_width) << "\n";
+  out << "die_height = " << format_double(spec.die_height) << "\n";
   for (const StackLayerEntry& layer : spec.layers) {
     out << "\n[layer]\n";
     if (!layer.floorplan.empty()) {
       out << "floorplan = " << layer.floorplan << "\n";
     }
-    out << "die_thickness = " << fmt_double(layer.die_thickness) << "\n";
-    out << "beol_thickness = " << fmt_double(layer.beol_thickness) << "\n";
+    out << "die_thickness = " << format_double(layer.die_thickness) << "\n";
+    out << "beol_thickness = " << format_double(layer.beol_thickness) << "\n";
     for (const BlockEntry& b : layer.blocks) {
       out << "block " << b.name << " " << to_string(b.type) << " "
-          << fmt_double(b.rect.x) << " " << fmt_double(b.rect.y) << " "
-          << fmt_double(b.rect.w) << " " << fmt_double(b.rect.h) << "\n";
+          << format_double(b.rect.x) << " " << format_double(b.rect.y) << " "
+          << format_double(b.rect.w) << " " << format_double(b.rect.h) << "\n";
     }
   }
   for (const CavitySpec& c : spec.cavities) {
     out << "\n[cavity]\n";
     out << "channel_count = " << c.channel_count << "\n";
-    out << "channel_width = " << fmt_double(c.channel_width) << "\n";
-    out << "channel_height = " << fmt_double(c.channel_height) << "\n";
-    out << "wall_thickness = " << fmt_double(c.wall_thickness) << "\n";
-    out << "pitch = " << fmt_double(c.pitch) << "\n";
-    out << "cavity_thickness = " << fmt_double(c.cavity_thickness) << "\n";
+    out << "channel_width = " << format_double(c.channel_width) << "\n";
+    out << "channel_height = " << format_double(c.channel_height) << "\n";
+    out << "wall_thickness = " << format_double(c.wall_thickness) << "\n";
+    out << "pitch = " << format_double(c.pitch) << "\n";
+    out << "cavity_thickness = " << format_double(c.cavity_thickness) << "\n";
   }
   out << "\n[tsv]\n";
   out << "count = " << spec.tsvs.count << "\n";
-  out << "side = " << fmt_double(spec.tsvs.side) << "\n";
-  out << "cu_conductivity = " << fmt_double(spec.tsvs.cu_conductivity) << "\n";
+  out << "side = " << format_double(spec.tsvs.side) << "\n";
+  out << "cu_conductivity = " << format_double(spec.tsvs.cu_conductivity) << "\n";
 }
 
 // -- #suite metadata encoding -------------------------------------------------
@@ -515,50 +508,12 @@ void write_stack_file(std::ostream& out, const StackSpec& spec) {
 std::string encode_stack_spec(const StackSpec& spec) {
   std::ostringstream text;
   write_stack_file(text, spec);
-  const std::string raw = text.str();
-  static const char* hex = "0123456789ABCDEF";
-  std::string out;
-  out.reserve(raw.size() + 16);
-  for (const char ch : raw) {
-    const unsigned char c = static_cast<unsigned char>(ch);
-    // Escape '%' itself plus anything a whitespace tokenizer could split on
-    // (space, tabs, newlines, all other control bytes).
-    if (c == '%' || c <= 0x20 || c == 0x7f) {
-      out += '%';
-      out += hex[c >> 4];
-      out += hex[c & 0xf];
-    } else {
-      out += ch;
-    }
-  }
-  return out;
+  return percent_encode(text.str());
 }
 
 StackSpec decode_stack_spec(const std::string& token,
                             const std::string& source) {
-  auto hex_digit = [&](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    return -1;
-  };
-  std::string raw;
-  raw.reserve(token.size());
-  for (std::size_t i = 0; i < token.size(); ++i) {
-    if (token[i] != '%') {
-      raw += token[i];
-      continue;
-    }
-    LIQUID3D_REQUIRE(i + 2 < token.size(),
-                     source + ": truncated %XX escape in stack token");
-    const int hi = hex_digit(token[i + 1]);
-    const int lo = hex_digit(token[i + 2]);
-    LIQUID3D_REQUIRE(hi >= 0 && lo >= 0,
-                     source + ": malformed %XX escape in stack token");
-    raw += static_cast<char>(hi * 16 + lo);
-    i += 2;
-  }
-  std::istringstream in(raw);
+  std::istringstream in(percent_decode(token, source + ": stack token"));
   return parse_stack_file(in, source);
 }
 

@@ -99,7 +99,7 @@ void validate_stack_spec(const StackSpec& spec);
                                          const std::string& source);
 /// Read and parse a stack file from disk.
 [[nodiscard]] StackSpec load_stack_file(const std::string& path);
-/// Emit a spec in the stack-file format.  Doubles print as %.17g, so
+/// Emit a spec in the stack-file format.  Doubles print via format_double, so
 /// write -> parse round-trips bit-exactly.
 void write_stack_file(std::ostream& out, const StackSpec& spec);
 

@@ -10,7 +10,7 @@
 //   service.stats()           client.stats()
 //
 // Answers are bit-identical to the in-process calls (the envelope round-
-// trips every double through %.17g), so a caller can switch between the
+// trips every double through format_double), so a caller can switch between the
 // two backends without re-validating anything.
 //
 // Error mapping restores the in-process contract: a server-side

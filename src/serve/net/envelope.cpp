@@ -22,61 +22,10 @@ constexpr std::string_view kMagic = "liquid3d-serve";
 
 // -- scalar formatting --------------------------------------------------------
 
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 std::string fmt_u64(std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
   return buf;
-}
-
-/// Same escape set as encode_stack_spec: '%', whitespace, control bytes —
-/// the encoded token survives any line/space tokenizer unsplit.
-std::string percent_encode(std::string_view raw) {
-  static const char* hex = "0123456789ABCDEF";
-  std::string out;
-  out.reserve(raw.size());
-  for (const char ch : raw) {
-    const unsigned char c = static_cast<unsigned char>(ch);
-    if (c == '%' || c <= 0x20 || c == 0x7f) {
-      out += '%';
-      out += hex[c >> 4];
-      out += hex[c & 0xf];
-    } else {
-      out += ch;
-    }
-  }
-  return out;
-}
-
-std::string percent_decode(const std::string& token, const std::string& what) {
-  auto hex_digit = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    return -1;
-  };
-  std::string raw;
-  raw.reserve(token.size());
-  for (std::size_t i = 0; i < token.size(); ++i) {
-    if (token[i] != '%') {
-      raw += token[i];
-      continue;
-    }
-    LIQUID3D_REQUIRE(i + 2 < token.size(),
-                     what + ": truncated %XX escape in '" + token + "'");
-    const int hi = hex_digit(token[i + 1]);
-    const int lo = hex_digit(token[i + 2]);
-    LIQUID3D_REQUIRE(hi >= 0 && lo >= 0,
-                     what + ": malformed %XX escape in '" + token + "'");
-    raw += static_cast<char>(hi * 16 + lo);
-    i += 2;
-  }
-  return raw;
 }
 
 // -- enum spellings -----------------------------------------------------------
@@ -136,7 +85,7 @@ struct Writer {
     out += value;
     out += '\n';
   }
-  void num(const char* key, double v) { kv(key, fmt_double(v)); }
+  void num(const char* key, double v) { kv(key, format_double(v)); }
   template <class T, std::enable_if_t<std::is_unsigned_v<T>, int> = 0>
   void num(const char* key, T v) {
     kv(key, fmt_u64(static_cast<std::uint64_t>(v)));
@@ -148,7 +97,7 @@ struct Writer {
     std::string joined;
     for (std::size_t i = 0; i < v.size(); ++i) {
       if (i > 0) joined += ',';
-      joined += fmt_double(v[i]);
+      joined += format_double(v[i]);
     }
     kv(key, joined);
   }
@@ -322,7 +271,7 @@ void write_steady(Writer& w, const SteadyQuery& q) {
       packed += ':';
       for (std::size_t b = 0; b < q.block_watts[l].size(); ++b) {
         if (b > 0) packed += ',';
-        packed += fmt_double(q.block_watts[l][b]);
+        packed += format_double(q.block_watts[l][b]);
       }
     }
     w.kv("block_watts", packed);
@@ -350,7 +299,7 @@ void write_replay(Writer& w, const ReplayQuery& q) {
   write_whatif(w, q.base);
   for (const PhaseChange& p : q.phases) {
     w.kv("phase", fmt_u64(static_cast<std::uint64_t>(p.at.as_ms())) + ":" +
-                      fmt_double(p.utilization_scale));
+                      format_double(p.utilization_scale));
   }
   w.num("trace_period_s", q.trace_period_s);
 }
@@ -374,14 +323,14 @@ void write_outcome(Writer& w, const SessionOutcome& o) {
     std::string line = fmt_u64(static_cast<std::uint64_t>(s.now.as_ms()));
     for (const double v : {s.tmax, s.forecast}) {
       line += ' ';
-      line += fmt_double(v);
+      line += format_double(v);
     }
     line += ' ';
     line += fmt_u64(s.pump_setting);
     for (const double v : {s.flow_ml_per_min, s.chip_watts, s.pump_watts,
                            s.mean_busy}) {
       line += ' ';
-      line += fmt_double(v);
+      line += format_double(v);
     }
     line += ' ';
     line += fmt_u64(s.queued_threads);

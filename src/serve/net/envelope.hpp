@@ -19,10 +19,11 @@
 //
 // Serialization is line-oriented text: a `liquid3d-serve <version> <tag>`
 // header, then one `<key> <value>` line per field.  Doubles are printed
-// %.17g (bit-exact round-trip — the same convention as geom/stack_spec and
-// sim/report), free-form strings and embedded stack specs are
-// percent-encoded into single whitespace-free tokens (the stack spec by
-// encode_stack_spec, everything else by the same %XX escape).  Decoding is
+// with format_double (common/parse.hpp: bit-exact round-trip, as in
+// geom/stack_spec and sim/report), free-form strings and embedded stack
+// specs are percent-encoded into single whitespace-free tokens (the stack
+// spec by encode_stack_spec, everything else by percent_encode, the same
+// %XX escape).  Decoding is
 // strict: an unknown version, tag, or key and any malformed value throw
 // ConfigError naming the offender — version 1 never silently ignores input.
 #pragma once

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "coolant/flow.hpp"
 #include "coolant/pump.hpp"
 #include "coolant/valve_network.hpp"
 #include "geom/sites.hpp"
-#include "geom/stack_spec.hpp"
 #include "sim/scenario.hpp"
 #include "workload/benchmarks.hpp"
 
@@ -24,76 +23,6 @@ using Clock = std::chrono::steady_clock;
 double elapsed_us(Clock::time_point start) {
   return std::chrono::duration<double, std::micro>(Clock::now() - start)
       .count();
-}
-
-void append(std::string& key, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g,", v);
-  key += buf;
-}
-
-void append(std::string& key, std::size_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%zu,", v);
-  key += buf;
-}
-
-/// Everything that shapes the constructed thermal model (and therefore the
-/// steady operator): geometry, cooling regime, and the thermal parameters.
-/// The stack enters as its canonical spec encoding, so layer_pairs presets,
-/// explicit specs, and stack files that build the same stack share entries.
-std::string model_key(const SimulationConfig& cfg) {
-  std::string key = encode_stack_spec(resolved_stack_spec(cfg));
-  key += '|';
-  key += cfg.cooling == CoolingMode::kAir ? "air," : "liquid,";
-  key += to_string(cfg.delivery_mode);
-  key += ',';
-  const ThermalModelParams& t = cfg.thermal;
-  append(key, t.grid_rows);
-  append(key, t.grid_cols);
-  append(key, t.silicon_conductivity);
-  append(key, t.silicon_volumetric_heat_capacity);
-  append(key, t.bond_conductivity);
-  append(key, t.cavity_wall_conductivity);
-  append(key, t.inlet_temperature);
-  append(key, t.ambient_temperature);
-  append(key, t.channel_params.beol_thickness);
-  append(key, t.channel_params.beol_conductivity);
-  append(key, t.channel_params.heat_transfer_coeff);
-  append(key, t.coolant.heat_capacity);
-  append(key, t.coolant.density);
-  append(key, t.coolant.conductivity);
-  append(key, t.coolant.dynamic_viscosity);
-  append(key, t.tim_thickness);
-  append(key, t.tim_conductivity);
-  append(key, t.spreader_capacitance);
-  append(key, t.sink_capacitance);
-  append(key, t.spreader_to_sink_resistance);
-  append(key, t.sink_to_ambient_resistance);
-  key += t.alternate_flow_direction ? "alt," : "noalt,";
-  append(key, t.fluid_tolerance);
-  append(key, t.max_fluid_iterations);
-  append(key, t.steady_fluid_iterations);
-  append(key, t.steady_pseudo_dt);
-  append(key, t.steady_tolerance);
-  append(key, t.max_steady_iterations);
-  key += t.direct_steady_solver ? "direct," : "pseudo,";
-  return key;
-}
-
-/// ROM identity: the model key with the boundary references normalized out
-/// (the reduced model answers any inlet/ambient exactly — the steady map is
-/// affine in the reference, and the constant vector is in the basis), plus
-/// the per-cavity flow vector the operator was exported under.
-std::string rom_key(const SimulationConfig& cfg,
-                    const std::vector<VolumetricFlow>& flows) {
-  SimulationConfig normalized = cfg;
-  normalized.thermal.inlet_temperature = 0.0;
-  normalized.thermal.ambient_temperature = 0.0;
-  std::string key = model_key(normalized);
-  key += "|f:";
-  for (VolumetricFlow f : flows) append(key, f.ml_per_min());
-  return key;
 }
 
 /// Expand a query's power specification to full [layer][block] shape.
@@ -169,8 +98,14 @@ std::vector<VolumetricFlow> resolve_flows(const SimulationConfig& cfg,
 
 }  // namespace
 
+ThermalService::ModelEntry::ModelEntry(const SimulationConfig& cfg)
+    : model(make_simulation_stack(cfg), cfg.thermal) {}
+
 ThermalService::ThermalService(ServeParams params)
-    : params_(params), queue_(params.queue) {
+    : params_(params),
+      models_(params.model_pool_capacity),
+      roms_(params.rom_cache_capacity),
+      queue_(params.queue) {
   LIQUID3D_REQUIRE(params_.model_pool_capacity >= 1,
                    "model pool capacity must be >= 1");
   LIQUID3D_REQUIRE(params_.rom_cache_capacity >= 1,
@@ -181,114 +116,43 @@ ThermalService::~ThermalService() { queue_.stop(); }
 
 std::shared_ptr<ThermalService::ModelEntry> ThermalService::model_for(
     const SimulationConfig& cfg, const std::string& key) {
-  std::shared_ptr<ModelEntry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    PoolSlot& slot = models_[key];
-    if (!slot.entry) slot.entry = std::make_shared<ModelEntry>();
-    slot.last_used = ++lru_clock_;
-    entry = slot.entry;
-    while (models_.size() > params_.model_pool_capacity) {
-      auto victim = models_.end();
-      for (auto it = models_.begin(); it != models_.end(); ++it) {
-        if (it->first == key) continue;
-        if (victim == models_.end() ||
-            it->second.last_used < victim->second.last_used) {
-          victim = it;
-        }
-      }
-      if (victim == models_.end()) break;
-      models_.erase(victim);  // borrowers' shared_ptr keeps the model alive
-      model_evictions_.add();
-    }
-  }
-  std::lock_guard<std::mutex> entry_lock(entry->mu);
-  if (!entry->model) {
-    entry->model =
-        std::make_unique<ThermalModel3D>(make_simulation_stack(cfg), cfg.thermal);
-  }
-  return entry;
+  return models_.get(key, [&cfg] { return std::make_shared<ModelEntry>(cfg); });
 }
 
 std::shared_ptr<const ReducedSteadyModel> ThermalService::rom_for(
-    const SimulationConfig& cfg, const std::string& mkey,
+    const SimulationConfig& cfg, const ConfigIdentity& id,
     const std::vector<VolumetricFlow>& flows) {
-  const std::string key = rom_key(cfg, flows);
-  std::promise<std::shared_ptr<const ReducedSteadyModel>> promise;
-  std::shared_future<std::shared_ptr<const ReducedSteadyModel>> future;
-  bool builder = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = roms_.find(key);
-    if (it == roms_.end()) {
-      future = promise.get_future().share();
-      roms_.emplace(key, RomSlot{future, ++lru_clock_});
-      builder = true;
-    } else {
-      it->second.last_used = ++lru_clock_;
-      future = it->second.future;
-    }
-    while (roms_.size() > params_.rom_cache_capacity) {
-      // Evict the least-recently-used *settled* entry; in-flight builds are
-      // left alone (their waiters hold the future).
-      auto victim = roms_.end();
-      for (auto it2 = roms_.begin(); it2 != roms_.end(); ++it2) {
-        if (it2->first == key) continue;
-        if (it2->second.future.wait_for(std::chrono::seconds(0)) !=
-            std::future_status::ready) {
-          continue;
-        }
-        if (victim == roms_.end() ||
-            it2->second.last_used < victim->second.last_used) {
-          victim = it2;
-        }
-      }
-      if (victim == roms_.end()) break;
-      roms_.erase(victim);
-      rom_evictions_.add();
-    }
+  std::string key = id.system;
+  for (VolumetricFlow f : flows) {
+    key += format_double(f.ml_per_min());
+    key += ',';
   }
-  if (builder) {
-    try {
-      std::shared_ptr<ModelEntry> entry = model_for(cfg, mkey);
-      std::shared_ptr<const ReducedSteadyModel> rom;
-      {
-        std::lock_guard<std::mutex> entry_lock(entry->mu);
-        if (cfg.cooling != CoolingMode::kAir) {
-          entry->model->set_cavity_flow(flows);
-        }
-        rom = std::make_shared<const ReducedSteadyModel>(
-            ReducedSteadyModel::build(*entry->model, params_.rom));
-      }
-      rom_builds_.add();
-      promise.set_value(std::move(rom));
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        roms_.erase(key);
-      }
-      promise.set_exception(std::current_exception());
-      throw;
-    }
-  }
-  return future.get();
+  return roms_.get(key, [&] {
+    const std::shared_ptr<ModelEntry> entry = model_for(cfg, id.system + id.refs);
+    std::lock_guard<std::mutex> entry_lock(entry->mu);
+    if (cfg.cooling != CoolingMode::kAir) entry->model.set_cavity_flow(flows);
+    return std::make_shared<const ReducedSteadyModel>(
+        ReducedSteadyModel::build(entry->model, params_.rom));
+  });
 }
 
 SteadyAnswer ThermalService::full_steady(
-    const SteadyQuery& query, const std::vector<std::vector<double>>& block_watts,
+    const SteadyQuery& query, const ConfigIdentity& id,
+    const std::vector<std::vector<double>>& block_watts,
     const std::vector<VolumetricFlow>& flows) {
   SimulationConfig cfg = query.config;
   const bool liquid = cfg.cooling != CoolingMode::kAir;
   if (query.reference_c) {
-    // The full model bakes the boundary reference into its parameters, so a
-    // reference override is a distinct pool entry (the ROM does not care).
     (liquid ? cfg.thermal.inlet_temperature : cfg.thermal.ambient_temperature) =
         *query.reference_c;
   }
-  const std::shared_ptr<ModelEntry> entry = model_for(cfg, model_key(cfg));
+  // The full model bakes the boundary reference into its parameters, so a
+  // reference override is a distinct pool entry (the ROM does not care).
+  const std::shared_ptr<ModelEntry> entry = model_for(
+      cfg, id.system + (query.reference_c ? refs_identity(cfg.thermal) : id.refs));
   SteadyAnswer answer;
   std::lock_guard<std::mutex> lock(entry->mu);
-  ThermalModel3D& model = *entry->model;
+  ThermalModel3D& model = entry->model;
   if (liquid) model.set_cavity_flow(flows);
   for (std::size_t l = 0; l < block_watts.size(); ++l) {
     model.set_block_power(l, block_watts[l]);
@@ -318,6 +182,7 @@ SteadyAnswer ThermalService::steady(const SteadyQuery& query) {
   const auto start = Clock::now();
   steady_queries_.add();
   const SimulationConfig& cfg = query.config;
+  const ConfigIdentity id = config_identity(cfg);
   const Stack3D stack = make_simulation_stack(cfg);
   const std::vector<std::vector<double>> watts = resolve_watts(query, stack);
   const std::vector<VolumetricFlow> flows = resolve_flows(cfg, query, stack);
@@ -328,8 +193,7 @@ SteadyAnswer ThermalService::steady(const SteadyQuery& query) {
                                      : cfg.thermal.ambient_temperature);
 
   if (!query.force_full) {
-    const std::shared_ptr<const ReducedSteadyModel> rom =
-        rom_for(cfg, model_key(cfg), flows);
+    const std::shared_ptr<const ReducedSteadyModel> rom = rom_for(cfg, id, flows);
     thread_local ReducedSteadyModel::Scratch scratch;
     RomEvaluation eval;
     rom->evaluate(watts, t_ref, query.max_error_c, scratch, eval);
@@ -348,7 +212,7 @@ SteadyAnswer ThermalService::steady(const SteadyQuery& query) {
     }
     rom_fallbacks_.add();
   }
-  SteadyAnswer answer = full_steady(query, watts, flows);
+  SteadyAnswer answer = full_steady(query, id, watts, flows);
   answer.elapsed_us = elapsed_us(start);
   full_seconds.record(answer.elapsed_us * 1e-6);
   return answer;
@@ -358,7 +222,7 @@ void ThermalService::warm(const SteadyQuery& query) {
   const Stack3D stack = make_simulation_stack(query.config);
   const std::vector<VolumetricFlow> flows =
       resolve_flows(query.config, query, stack);
-  (void)rom_for(query.config, model_key(query.config), flows);
+  (void)rom_for(query.config, config_identity(query.config), flows);
 }
 
 SimulationConfig ThermalService::session_config(const WhatIfQuery& query) {
@@ -425,11 +289,11 @@ ServeStats ThermalService::stats() const {
   ServeStats s;
   s.steady_queries = steady_queries_.value();
   s.rom_hits = rom_hits_.value();
-  s.rom_builds = rom_builds_.value();
+  s.rom_builds = roms_.builds();
   s.rom_fallbacks = rom_fallbacks_.value();
-  s.rom_evictions = rom_evictions_.value();
+  s.rom_evictions = roms_.evictions();
   s.full_solves = full_solves_.value();
-  s.model_evictions = model_evictions_.value();
+  s.model_evictions = models_.evictions();
   s.session_queries = session_queries_.value();
   s.batches = queue_.batches();
   s.batched_sessions = queue_.batched_sessions();

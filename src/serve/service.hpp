@@ -5,9 +5,9 @@
 // and operators.  The win over spawning a SimulationSession per question is
 // warm state shared across queries:
 //
-//   * a pool of constructed thermal models per system topology (model
+//   * a pool of constructed thermal models per system (model
 //     construction + characterization dominate one-shot latency);
-//   * the process-wide CharacterizationCache (sharded; see
+//   * the process-wide CharacterizationCache (see
 //     sim/characterization_cache.hpp) feeding every session it spawns;
 //   * a cache of reduced-order steady models (serve/rom.hpp) keyed on
 //     (system, flow vector), so repeat steady queries skip the solver
@@ -17,26 +17,32 @@
 //     what-if/replay queries by topology and runs them through BatchRunner
 //     lockstep, sharing factorizations across concurrent questions.
 //
+// Both caches are MemoCaches (common/memo_cache.hpp) keyed on the query's
+// ConfigIdentity (sim/config_identity.hpp), computed once per query: the
+// model pool on system + boundary references, the ROM cache on system +
+// per-cavity flows.  Each holds its capacity's worth of most recently used
+// entries; an evicted entry that a query still holds stays findable, and
+// an evicted ROM simply rebuilds on the next miss.
+//
 // Steady answers carry an explicit error contract: the ROM result is used
 // only when its residual-based estimate stays within the query's bound;
 // otherwise the service transparently falls back to the full steady solver
-// and the answer is exact (to solver tolerance).  Both caches are bounded
-// LRU; eviction is by least-recent use, and an evicted ROM simply rebuilds
-// on the next miss.
+// and the answer is exact (to solver tolerance).
 #pragma once
 
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/memo_cache.hpp"
 #include "obs/metrics.hpp"
 #include "serve/query.hpp"
 #include "serve/queue.hpp"
 #include "serve/rom.hpp"
+#include "sim/config_identity.hpp"
 
 namespace liquid3d {
 
@@ -91,25 +97,18 @@ class ThermalService {
  private:
   /// One pooled full-fidelity model; `mu` serializes solves on it.
   struct ModelEntry {
+    explicit ModelEntry(const SimulationConfig& cfg);
     std::mutex mu;
-    std::unique_ptr<ThermalModel3D> model;
-  };
-  struct PoolSlot {
-    std::shared_ptr<ModelEntry> entry;
-    std::uint64_t last_used = 0;
-  };
-  struct RomSlot {
-    std::shared_future<std::shared_ptr<const ReducedSteadyModel>> future;
-    std::uint64_t last_used = 0;
+    ThermalModel3D model;
   };
 
   [[nodiscard]] std::shared_ptr<ModelEntry> model_for(
       const SimulationConfig& cfg, const std::string& key);
   [[nodiscard]] std::shared_ptr<const ReducedSteadyModel> rom_for(
-      const SimulationConfig& cfg, const std::string& model_key,
+      const SimulationConfig& cfg, const ConfigIdentity& id,
       const std::vector<VolumetricFlow>& flows);
   [[nodiscard]] SteadyAnswer full_steady(
-      const SteadyQuery& query,
+      const SteadyQuery& query, const ConfigIdentity& id,
       const std::vector<std::vector<double>>& block_watts,
       const std::vector<VolumetricFlow>& flows);
   [[nodiscard]] std::future<SessionOutcome> submit_session(
@@ -117,22 +116,18 @@ class ThermalService {
       double trace_period_s);
 
   ServeParams params_;
-  mutable std::mutex mu_;  ///< guards the two cache maps + LRU clock
-  std::map<std::string, PoolSlot> models_;
-  std::map<std::string, RomSlot> roms_;
-  std::uint64_t lru_clock_ = 0;
+  MemoCache<std::string, ModelEntry> models_;
+  MemoCache<std::string, const ReducedSteadyModel> roms_;
 
   // Per-instance obs counters (not in the global registry: each service
   // owns its own stats; the registry holds process-wide solver/batch
   // instruments).  Counter::add is the same one-relaxed-add the old
-  // atomics did — these stay functional under the obs kill switch.
+  // atomics did — these stay functional under the obs kill switch.  ROM
+  // builds and evictions are the caches' own counters.
   obs::Counter steady_queries_;
   obs::Counter rom_hits_;
-  obs::Counter rom_builds_;
   obs::Counter rom_fallbacks_;
-  obs::Counter rom_evictions_;
   obs::Counter full_solves_;
-  obs::Counter model_evictions_;
   obs::Counter session_queries_;
 
   QueryQueue queue_;

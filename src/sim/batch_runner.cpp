@@ -7,7 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
-#include "common/weak_intern.hpp"
+#include "common/memo_cache.hpp"
 #include "obs/metrics.hpp"
 #include "thermal/batch_stepper.hpp"
 
@@ -104,7 +104,7 @@ BatchRunner::ChunkStats BatchRunner::run_chunk(
   // drops its reference to the warm-start factor, but the group's warm
   // starts all need the same one (one topology, one starting flow), so the
   // pin keeps it alive until the last member is initialized: built once and
-  // shared with the other workers' chunks through the factor registry,
+  // shared with the other workers' chunks through the shared factor cache,
   // instead of once per member in every worker's arena.
   std::vector<std::unique_ptr<SimulationSession>> members;
   members.reserve(idx.size());

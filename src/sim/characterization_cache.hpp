@@ -3,35 +3,26 @@
 // steady-state map behind the variable-flow controller) and the TALB thermal
 // weight table.
 //
-// Before this cache existed the same plumbing lived twice: static
-// `Simulator::build_flow_lut` / `build_talb_weights` helpers (rebuilt per
-// caller) and lazily-built members inside ExperimentSuite (shared only
-// within one suite).  Both now funnel here.  Artifacts are keyed on the
-// system parameters that determine them — stack geometry, delivery mode,
-// thermal and power model parameters, the LUT target temperature, and the
-// characterization worker count (worker count perturbs warm-start
-// trajectories at the millikelvin level, so it is part of the identity) —
-// never on the policy, workload, seed, or duration of the run that happens
-// to trigger the build.
+// Artifacts are keyed on the ConfigIdentity of the system that determines
+// them (sim/config_identity.hpp): stack geometry, cooling type, delivery
+// mode, thermal and power model parameters, plus, for the LUT, its target
+// temperature and the characterization worker count (worker count perturbs
+// warm-start trajectories at the millikelvin level, so it is part of the
+// identity) — never on the policy, workload, seed, or duration of the run
+// that happens to trigger the build.  Configs that resolve to the same stack
+// spec (a layer_pairs preset and the equal explicit spec) share entries.
 //
-// Concurrency: the table is sharded by key hash, and a miss installs a
-// shared_future under the shard lock but runs the build *outside* it.  A
-// characterization build is minutes of steady solves; under the old single
-// mutex (with builds under the lock) every session in the process — even
-// ones whose artifact was already cached — stalled behind an unrelated
-// build.  Now same-key requesters share one build (they block on its
-// future and receive the same pointer), different-key requesters in other
-// shards never touch the same lock, and a failed build erases its entry so
-// the next requester retries instead of inheriting a poisoned future.
+// Each table is an unbounded MemoCache (common/memo_cache.hpp): a
+// characterization build is minutes of steady solves, so it runs outside
+// the cache lock; same-key requesters share one build (pointer-equal
+// artifacts), other keys never wait on it, and a failed build publishes
+// nothing, so the next requester retries.
 #pragma once
 
-#include <array>
-#include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
+#include "common/memo_cache.hpp"
 #include "control/flow_lut.hpp"
 #include "control/talb_weights.hpp"
 #include "sim/session.hpp"
@@ -59,35 +50,12 @@ class CharacterizationCache {
   [[nodiscard]] std::size_t size() const;
   void clear();
 
-  /// Cache keys (exposed for tests): every parameter that feeds the build.
-  [[nodiscard]] static std::string flow_lut_key(const SimulationConfig& cfg);
-  [[nodiscard]] static std::string talb_key(const SimulationConfig& cfg);
-
  private:
-  static constexpr std::size_t kShardCount = 16;
-
-  /// One lock stripe: entries hold futures (not values) so a key's first
-  /// requester can publish "build in progress" and release the lock before
-  /// doing the expensive work.
   template <typename T>
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<std::string, std::shared_future<std::shared_ptr<const T>>> entries;
-  };
+  using Table = MemoCache<std::string, const T>;
 
-  template <typename T, typename Build>
-  static std::shared_ptr<const T> get_or_build(
-      std::array<Shard<T>, kShardCount>& shards, const std::string& key,
-      Build&& build);
-
-  template <typename T>
-  static std::size_t shard_size(const std::array<Shard<T>, kShardCount>& shards);
-
-  template <typename T>
-  static void shard_clear(std::array<Shard<T>, kShardCount>& shards);
-
-  std::array<Shard<FlowLut>, kShardCount> luts_;
-  std::array<Shard<TalbWeightTable>, kShardCount> weights_;
+  Table<FlowLut> luts_{Table<FlowLut>::kUnbounded};
+  Table<TalbWeightTable> weights_{Table<TalbWeightTable>::kUnbounded};
 };
 
 }  // namespace liquid3d

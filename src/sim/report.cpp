@@ -56,13 +56,10 @@ const NumericField kNumericFields[] = {
 #undef LIQUID3D_COUNT_FIELD
 
 std::string format_number(const NumericField& f, const SimulationResult& r) {
-  char buf[40];
   const double v = f.get(r);
-  if (f.integral) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
+  if (!f.integral) return format_double(v);
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.0f", v);
   return buf;
 }
 
@@ -70,8 +67,8 @@ void write_csv_row(std::ostream& out, const std::vector<std::string>& row) {
   out << to_csv_line(row);  // common/csv.hpp RFC-4180 quoting
 }
 
-/// Strict double parse for one named column; %.17g output round-trips
-/// through here bit-exactly.
+/// Strict double parse for one named column; format_double output
+/// round-trips through here bit-exactly.
 double parse_number(const std::string& text, const char* column) {
   return parse_double(text, "column '" + std::string(column) + "'");
 }
@@ -210,26 +207,21 @@ void write_summaries_csv(std::ostream& out,
 
 void write_summaries_json(std::ostream& out,
                           const std::vector<PolicySummary>& summaries) {
-  auto number = [](double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return std::string(buf);
-  };
   out << "[\n";
   for (std::size_t i = 0; i < summaries.size(); ++i) {
     const PolicySummary& s = summaries[i];
     out << "  {\"label\": ";
     write_json_string(out, s.label);
     out << ",\n   \"aggregates\": {"
-        << "\"mean_hotspot_percent\": " << number(s.mean_hotspot_percent())
-        << ", \"max_hotspot_percent\": " << number(s.max_hotspot_percent())
+        << "\"mean_hotspot_percent\": " << format_double(s.mean_hotspot_percent())
+        << ", \"max_hotspot_percent\": " << format_double(s.max_hotspot_percent())
         << ", \"mean_above_target_percent\": "
-        << number(s.mean_above_target_percent())
-        << ", \"mean_gradient_percent\": " << number(s.mean_gradient_percent())
-        << ", \"mean_cycles_per_1000\": " << number(s.mean_cycles_per_1000())
-        << ", \"total_chip_energy\": " << number(s.total_chip_energy())
-        << ", \"total_pump_energy\": " << number(s.total_pump_energy())
-        << ", \"total_throughput\": " << number(s.total_throughput()) << "},\n"
+        << format_double(s.mean_above_target_percent())
+        << ", \"mean_gradient_percent\": " << format_double(s.mean_gradient_percent())
+        << ", \"mean_cycles_per_1000\": " << format_double(s.mean_cycles_per_1000())
+        << ", \"total_chip_energy\": " << format_double(s.total_chip_energy())
+        << ", \"total_pump_energy\": " << format_double(s.total_pump_energy())
+        << ", \"total_throughput\": " << format_double(s.total_throughput()) << "},\n"
         << "   \"per_workload\": ";
     write_json_array(out, s.per_workload, "     ");
     out << "}" << (i + 1 < summaries.size() ? ",\n" : "\n");

@@ -4,8 +4,8 @@
 // common/csv.hpp convention: a header vector plus string rows) and to JSON,
 // so examples, sweep shards, and external plotting consume one format
 // instead of each bench hand-rolling printf tables.  Doubles are written
-// with %.17g — round-trippable, so a re-parsed shard compares bit-exactly
-// against the in-process result.
+// with format_double (common/parse.hpp) — round-trippable, so a re-parsed
+// shard compares bit-exactly against the in-process result.
 #pragma once
 
 #include <iosfwd>
@@ -21,9 +21,9 @@ namespace liquid3d {
 [[nodiscard]] const std::vector<std::string>& simulation_result_csv_header();
 [[nodiscard]] std::vector<std::string> to_csv_row(const SimulationResult& r);
 
-/// Inverse of to_csv_row.  Exact: numbers were written with %.17g, so the
-/// parsed result compares == against the in-process original, field by
-/// field.  Throws ConfigError naming the offending column on a malformed
+/// Inverse of to_csv_row.  Exact: numbers were written with format_double,
+/// so the parsed result compares == against the in-process original, field
+/// by field.  Throws ConfigError naming the offending column on a malformed
 /// row.
 [[nodiscard]] SimulationResult simulation_result_from_csv_row(
     const std::vector<std::string>& row);

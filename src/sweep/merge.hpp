@@ -4,7 +4,7 @@
 // grid index from the plan, never on which shard ran it, in which order the
 // journals are listed, or how many times a resumed worker re-journaled a
 // cell.  Because cell seeds are position-independent and every result
-// round-trips through %.17g CSV bit-exactly, the merged summaries compare
+// round-trips through the CSV bit-exactly, the merged summaries compare
 // == field-by-field against a single-process ExperimentSuite::run of the
 // same grid — the contract tests/test_sweep.cpp and the CI smoke job lock
 // in byte-for-byte on the exported reports.

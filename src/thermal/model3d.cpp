@@ -10,7 +10,7 @@
 #include <tuple>
 
 #include "common/error.hpp"
-#include "common/weak_intern.hpp"
+#include "common/memo_cache.hpp"
 #include "obs/metrics.hpp"
 
 namespace liquid3d {
@@ -54,7 +54,7 @@ void fnv_mix(std::uint64_t& h, double v) {
 
 std::shared_ptr<const ThermalModel3D::ConductionNetwork>
 ThermalModel3D::share_network(ConductionNetwork&& net, std::uint64_t fingerprint) {
-  static WeakIntern<std::uint64_t, const ConductionNetwork> live;
+  static MemoCache<std::uint64_t, const ConductionNetwork> live;
   bool built = false;
   std::shared_ptr<const ConductionNetwork> shared = live.get(fingerprint, [&] {
     built = true;
@@ -357,7 +357,7 @@ const BandedSpdMatrix& ThermalModel3D::matrix_for_dt(double dt_s) {
   // system (the leads of concurrent lockstep chunks, a model pool) —
   // bit-identical to building it here.
   using Key = std::tuple<const ConductionNetwork*, std::size_t, std::uint64_t>;
-  static WeakIntern<Key, BandedSpdMatrix> live;
+  static MemoCache<Key, BandedSpdMatrix> live;
   const std::size_t bw = grid_.cols() * layer_count_;
   std::shared_ptr<BandedSpdMatrix> factor =
       live.get(Key{net_.get(), bw, std::bit_cast<std::uint64_t>(dt_s)}, [&] {
@@ -794,7 +794,7 @@ void ThermalModel3D::solve_steady_state_direct(const std::function<bool()>& pre_
     // enters the key bit for bit, so an adopted system is the one this
     // model would build.
     using Key = std::pair<const ConductionNetwork*, std::vector<std::uint64_t>>;
-    static WeakIntern<Key, const SteadyDirectSystem> live;
+    static MemoCache<Key, const SteadyDirectSystem> live;
     Key key{net_.get(),
             {grid_.rows(), grid_.cols(), params_.alternate_flow_direction,
              std::bit_cast<std::uint64_t>(g_fluid_dn_),

@@ -1,5 +1,5 @@
-// Banded SPD direct solver (thermal/banded_cholesky.hpp), validated against
-// the dense Gaussian solver on random diffusion-like matrices.
+// Banded SPD direct solver (thermal/solver/banded_spd.hpp), validated
+// against the dense Gaussian solver on random diffusion-like matrices.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,7 @@
 #include "common/error.hpp"
 #include "common/linalg.hpp"
 #include "common/rng.hpp"
-#include "thermal/banded_cholesky.hpp"
+#include "thermal/solver/banded_spd.hpp"
 
 namespace liquid3d {
 namespace {

@@ -1,7 +1,8 @@
-// Sharded CharacterizationCache (sim/characterization_cache.hpp).  The
-// locking contract under test: concurrent same-key requesters share exactly
-// one build (pointer-equal artifacts), different keys build independently,
-// and a rejected request leaves the cache clean.  Runs under TSan in CI.
+// CharacterizationCache (sim/characterization_cache.hpp).  The contract
+// under test: concurrent same-key requesters share exactly one build
+// (pointer-equal artifacts), different keys build independently, configs
+// that resolve to one stack spec share one entry, and a rejected request
+// leaves the cache clean.  Runs under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,7 +10,9 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "geom/stack_spec.hpp"
 #include "sim/characterization_cache.hpp"
+#include "sim/config_identity.hpp"
 
 namespace liquid3d {
 namespace {
@@ -47,7 +50,7 @@ TEST(CharacterizationCache, DistinctKeysBuildIndependently) {
   CharacterizationCache cache;
   const SimulationConfig a = small_config(CoolingMode::kAir, 8, 9);
   const SimulationConfig b = small_config(CoolingMode::kAir, 9, 8);
-  ASSERT_NE(CharacterizationCache::talb_key(a), CharacterizationCache::talb_key(b));
+  ASSERT_NE(config_identity(a).system, config_identity(b).system);
 
   std::shared_ptr<const TalbWeightTable> wa, wb;
   std::thread ta([&] { wa = cache.talb_weights(a); });
@@ -61,6 +64,18 @@ TEST(CharacterizationCache, DistinctKeysBuildIndependently) {
   // Repeat lookups hit the existing entries.
   EXPECT_EQ(cache.talb_weights(a).get(), wa.get());
   EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(CharacterizationCache, LayerPairsAndEqualExplicitSpecShareOneEntry) {
+  CharacterizationCache cache;
+  SimulationConfig preset = small_config(CoolingMode::kLiquidVar);
+  preset.layer_pairs = 1;
+  SimulationConfig explicit_spec = preset;
+  explicit_spec.stack = niagara_stack_spec(1, CoolingType::kLiquid);
+
+  const auto from_preset = cache.talb_weights(preset);
+  EXPECT_EQ(cache.talb_weights(explicit_spec).get(), from_preset.get());
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(CharacterizationCache, RejectedRequestLeavesCacheClean) {

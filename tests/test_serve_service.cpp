@@ -2,8 +2,9 @@
 // Contracts under test: asynchronous what-if/replay answers are bit-identical
 // to solo SimulationSession runs of the same cell, concurrent same-topology
 // queries share lockstep batches, malformed queries fail fast through the
-// future, and the session's service-facing const accessors report what a
-// server needs without touching internals.
+// future, a pooled model only answers queries of its own system, and the
+// session's service-facing const accessors report what a server needs
+// without touching internals.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -150,6 +151,26 @@ TEST(ServeService, SteadyQueryValidation) {
   air_with_flows.config.cooling = CoolingMode::kAir;
   air_with_flows.flows_ml_per_min = {10.0, 10.0, 10.0};
   EXPECT_THROW((void)service.steady(air_with_flows), ConfigError);
+}
+
+TEST(ServeService, PooledModelIsKeyedOnTheSolverBackend) {
+  SteadyQuery direct;
+  direct.config.cooling = CoolingMode::kLiquidMax;
+  direct.config.thermal.grid_rows = 8;
+  direct.config.thermal.grid_cols = 9;
+  direct.core_watts = 2.0;
+  direct.force_full = true;
+  SteadyQuery pcg = direct;
+  pcg.config.thermal.solver_backend = SolverBackend::kPcg;
+
+  // The pooled model the direct query built must not answer the PCG one.
+  ThermalService shared;
+  (void)shared.steady(direct);
+  const SteadyAnswer pooled = shared.steady(pcg);
+  ThermalService fresh;
+  const SteadyAnswer reference = fresh.steady(pcg);
+  EXPECT_EQ(pooled.t_max_c, reference.t_max_c);
+  EXPECT_EQ(pooled.layer_max_c, reference.layer_max_c);
 }
 
 // -- Session const-inspection surface (service-facing accessors) --------------
