@@ -4,6 +4,8 @@
 // model operations, and warm- vs cold-started flow-LUT characterization.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -99,11 +101,17 @@ void BM_BandedSolveMultiRhs(benchmark::State& state) {
   const auto nrhs = static_cast<std::size_t>(state.range(2));
   BandedSpdMatrix m = make_grid_matrix(n, bw);
   m.factorize();
-  std::vector<double> rhs(n * nrhs, 1.0);
-  std::vector<double> x(n * nrhs);
+  // Packed the way BatchThermalStepper packs: nrhs real systems at the
+  // kernel's lane stride, padding lanes zero.
+  const std::size_t stride = BandedSpdMatrix::lane_stride(nrhs);
+  std::vector<double> rhs(n * stride, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::fill_n(rhs.begin() + static_cast<std::ptrdiff_t>(i * stride), nrhs, 1.0);
+  }
+  std::vector<double> x(n * stride);
   for (auto _ : state) {
     x = rhs;
-    m.solve(std::span<double>(x), nrhs);
+    m.solve(std::span<double>(x), stride);
     benchmark::DoNotOptimize(x);
   }
   // Per-RHS throughput: compare against BM_BandedSolve to read the batching
@@ -112,11 +120,11 @@ void BM_BandedSolveMultiRhs(benchmark::State& state) {
                           static_cast<std::int64_t>(nrhs));
 }
 // The width curve the grid executor's chunk rule is built on: every width
-// 1-8 plus 16 on the 2-layer ({1196,52}) and 4-layer ({2392,104}) default
-// grids.  Per-RHS cost is not monotone in width (docs/performance.md).
+// 1-8 plus 12 and 16 on the 2-layer ({1196,52}) and 4-layer ({2392,104})
+// default grids (before/after rows in docs/performance.md).
 void multi_rhs_widths(benchmark::internal::Benchmark* b) {
   for (const auto& [n, bw] : {std::pair{1196, 52}, std::pair{2392, 104}}) {
-    for (const int nrhs : {1, 2, 3, 4, 5, 6, 7, 8, 16}) b->Args({n, bw, nrhs});
+    for (const int nrhs : {1, 2, 3, 4, 5, 6, 7, 8, 12, 16}) b->Args({n, bw, nrhs});
   }
   b->Args({4784, 208, 4});
   b->Args({4784, 208, 16});
@@ -198,7 +206,7 @@ void BM_BatchedTransient(benchmark::State& state) {
                           static_cast<std::int64_t>(nsessions));
   state.SetLabel("lockstep 50ms steps, one shared factorization");
 }
-BENCHMARK(BM_BatchedTransient)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_BatchedTransient)->Arg(1)->Arg(4)->Arg(6)->Arg(8)->Arg(16);
 
 // -- Iterative (PCG) backend --------------------------------------------------
 //

@@ -8,17 +8,29 @@
 # writing a partial JSON file) aborts the refresh with a pointed message
 # instead of silently merging a truncated fragment into BENCH_solver.json.
 #
+# The baseline is recorded the way the bench-guard CI job measures, so its
+# rows compare like for like: portable codegen (LIQUID3D_NATIVE_ARCH=OFF —
+# the multi-RHS kernel's vector width follows the ISA) and every binary
+# pinned to one CPU (the loopback round trip of BM_ServeWireSteadyQuery
+# costs about twice as much when client and server wake on different
+# cores).
+#
 # Usage: scripts/run_bench.sh [build-dir] [output.json]
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-build_dir="${1:-${repo_root}/build}"
+build_dir="${1:-${repo_root}/build-bench}"
 out_json="${2:-${repo_root}/BENCH_solver.json}"
 
-cmake -B "${build_dir}" -S "${repo_root}" \
-  -DCMAKE_BUILD_TYPE=Release -DLIQUID3D_BUILD_BENCH=ON >/dev/null
+cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release \
+  -DLIQUID3D_BUILD_BENCH=ON -DLIQUID3D_NATIVE_ARCH=OFF >/dev/null
 cmake --build "${build_dir}" \
   --target bench_micro_solver bench_serve bench_obs -j "$(nproc)"
+
+pin=()
+if command -v taskset >/dev/null && [[ "$(nproc)" -gt 1 ]]; then
+  pin=(taskset -c 1)
+fi
 
 tmp_dir="$(mktemp -d)"
 trap 'rm -rf "${tmp_dir}"' EXIT
@@ -31,7 +43,7 @@ trap 'rm -rf "${tmp_dir}"' EXIT
 run_bench() {
   local binary="$1" fragment="$2" filter="$3"
   local status=0
-  "${build_dir}/${binary}" \
+  "${pin[@]}" "${build_dir}/${binary}" \
     --benchmark_format=json \
     --benchmark_out="${fragment}" \
     --benchmark_out_format=json \

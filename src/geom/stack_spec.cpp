@@ -311,15 +311,16 @@ StackSpec parse_stack_file(std::istream& in, const std::string& source) {
   std::size_t line_no = 0;
   std::string line;
 
-  auto fail = [&](const std::string& msg) -> void {
-    throw ConfigError(source + ":" + std::to_string(line_no) + ": " + msg);
+  auto located = [&](const std::string& msg) {
+    return ConfigError(source + ":" + std::to_string(line_no) + ": " + msg);
   };
+  auto fail = [&](const std::string& msg) -> void { throw located(msg); };
   auto parse_num = [&](const std::string& value,
                        const std::string& key) -> double {
     try {
       return parse_double(value, "key '" + key + "'");
     } catch (const ConfigError& e) {
-      fail(e.what());
+      throw located(e.what());
     }
   };
   auto parse_count = [&](const std::string& value,
@@ -327,7 +328,7 @@ StackSpec parse_stack_file(std::istream& in, const std::string& source) {
     try {
       return static_cast<std::size_t>(parse_u64(value, "key '" + key + "'"));
     } catch (const ConfigError& e) {
-      fail(e.what());
+      throw located(e.what());
     }
   };
 

@@ -1,5 +1,7 @@
 #include "thermal/batch_stepper.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace liquid3d {
@@ -45,11 +47,24 @@ void BatchThermalStepper::step(std::span<ThermalModel3D* const> models,
   // its own contiguous rhs_ scratch, and tiles of kTile rows are exchanged
   // with the packed buffer so the strided accesses stay inside an
   // L1-resident window — a straight per-model strided pass would re-walk
-  // the whole packed buffer once per model.
+  // the whole packed buffer once per model.  Rows are packed at the
+  // kernel's lane stride; the padding lanes hold zeros (a zero RHS solves
+  // to zeros, so they stay zero) and are never unpacked.
   constexpr std::size_t kTile = 64;
+  std::size_t stride = 0;
+  std::size_t packed_lanes = 0;  // lanes [packed_lanes, stride) are zero
   for (std::size_t iter = 0; !active_.empty(); ++iter) {
     const std::size_t nb = active_.size();
-    packed_.resize(n * nb);
+    if (BandedSpdMatrix::lane_stride(nb) != stride) {
+      stride = BandedSpdMatrix::lane_stride(nb);
+      packed_.resize(n * stride);
+      packed_lanes = stride;  // a new layout: every lane is stale
+    }
+    for (std::size_t i = 0; i < n && nb < packed_lanes; ++i) {
+      std::fill(packed_.data() + i * stride + nb,
+                packed_.data() + i * stride + packed_lanes, 0.0);
+    }
+    packed_lanes = nb;
     for (ThermalModel3D* m : active_) {
       m->assemble_transient_rhs(inv_dt, m->rhs_.data());
     }
@@ -58,10 +73,10 @@ void BatchThermalStepper::step(std::span<ThermalModel3D* const> models,
       for (std::size_t r = 0; r < nb; ++r) {
         const double* const src = active_[r]->rhs_.data();
         double* const dst = packed_.data() + r;
-        for (std::size_t i = i0; i < i_end; ++i) dst[i * nb] = src[i];
+        for (std::size_t i = i0; i < i_end; ++i) dst[i * stride] = src[i];
       }
     }
-    mat.solve(std::span<double>(packed_.data(), n * nb), nb);
+    mat.solve(std::span<double>(packed_.data(), n * stride), stride);
     ++shared_solves_;
     solved_columns_ += nb;
     for (std::size_t i0 = 0; i0 < n; i0 += kTile) {
@@ -69,16 +84,17 @@ void BatchThermalStepper::step(std::span<ThermalModel3D* const> models,
       for (std::size_t r = 0; r < nb; ++r) {
         double* const dst = active_[r]->temps_.data();
         const double* const src = packed_.data() + r;
-        for (std::size_t i = i0; i < i_end; ++i) dst[i] = src[i * nb];
+        for (std::size_t i = i0; i < i_end; ++i) dst[i] = src[i * stride];
       }
     }
     next_active_.clear();
     for (ThermalModel3D* m : active_) {
       if (!liquid) continue;  // air: single implicit solve, no fluid loop
-      const double delta = m->march_all_fluid();
-      if (delta >= m->params_.fluid_tolerance &&
-          iter + 1 < m->params_.max_fluid_iterations) {
+      const bool converged = m->march_all_fluid() < m->params_.fluid_tolerance;
+      if (!converged && iter + 1 < m->params_.max_fluid_iterations) {
         next_active_.push_back(m);
+      } else {
+        ThermalModel3D::record_fluid_fixed_point(iter + 1, !converged);
       }
     }
     active_.swap(next_active_);

@@ -45,7 +45,7 @@ class BatchThermalStepper {
   [[nodiscard]] std::uint64_t solved_columns() const { return solved_columns_; }
 
  private:
-  std::vector<double> packed_;  ///< node-major interleaved RHS block
+  std::vector<double> packed_;  ///< node-major RHS block at the lane stride
   std::vector<ThermalModel3D*> active_;
   std::vector<ThermalModel3D*> next_active_;
   std::uint64_t shared_solves_ = 0;

@@ -497,7 +497,10 @@ double ThermalModel3D::advance(double dt_s, std::size_t fluid_iters,
   const bool liquid = stack_.has_cavities();
   const std::size_t max_iters = liquid ? fluid_iters : 1;
 
-  for (std::size_t iter = 0; iter < max_iters; ++iter) {
+  std::size_t iterations = 0;
+  bool converged = false;
+  while (!converged && iterations < max_iters) {
+    ++iterations;
     assemble_transient_rhs(inv_dt, rhs_.data());
     // A single NaN/Inf in the RHS (a power-model blowup, a diverged fluid
     // state) would silently poison the entire field through the solve;
@@ -538,15 +541,26 @@ double ThermalModel3D::advance(double dt_s, std::size_t fluid_iters,
     require_finite(temps_.data(), node_count_,
                    "linear solve produced non-finite temperatures");
     if (!liquid) break;
-    const double delta = march_all_fluid();
-    if (delta < fluid_tol) break;
+    converged = march_all_fluid() < fluid_tol;
   }
+  if (liquid) record_fluid_fixed_point(iterations, !converged);
 
   double change = 0.0;
   for (std::size_t i = 0; i < node_count_; ++i) {
     change = std::max(change, std::abs(temps_[i] - temps_prev_[i]));
   }
   return change;
+}
+
+void ThermalModel3D::record_fluid_fixed_point(std::size_t iterations,
+                                              bool capped) {
+  if (!obs::enabled()) return;
+  static obs::Histogram& iterations_h =
+      obs::Registry::global().histogram("liquid3d_fluid_iterations");
+  static obs::Counter& capped_c =
+      obs::Registry::global().counter("liquid3d_fluid_iteration_cap_total");
+  iterations_h.record_always(static_cast<double>(iterations));
+  if (capped) capped_c.add();
 }
 
 void ThermalModel3D::step(double dt_s) {

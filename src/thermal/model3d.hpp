@@ -337,6 +337,11 @@ class ThermalModel3D {
   /// through the cached factorization, the PCG path iterates warm-started
   /// from the current temperature field.
   double advance(double dt_s, std::size_t fluid_iters, double fluid_tol);
+  /// Record one liquid step's silicon<->fluid fixed point in the global
+  /// registry: `iterations` linear solves, `capped` when the budget ran out
+  /// before the fluid change fell under the tolerance.  Shared by advance()
+  /// and the batch stepper, so batched and serial runs count alike.
+  static void record_fluid_fixed_point(std::size_t iterations, bool capped);
   /// Write the backward-Euler right-hand side (stored heat + injected power
   /// + external coupling terms) into out[i] for node i.  Reads temps_prev_
   /// — callers snapshot temps_ there first.  Shared by the serial advance

@@ -15,6 +15,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/large_vector.hpp"
+
 namespace liquid3d {
 
 /// Column-major band storage: element (i, j) with j - bu <= i <= j + bl
@@ -50,7 +52,7 @@ class BandedLuMatrix {
   std::size_t bl_;
   std::size_t bu_;
   std::size_t w_;  ///< column stride = bl_ + bu_ + 1
-  std::vector<double> band_;
+  LargeVector<double> band_;
   bool factorized_ = false;
 };
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "thermal/solver/banded_spd_kernels.hpp"
 
 namespace liquid3d {
 

@@ -19,6 +19,8 @@
 #include <span>
 #include <vector>
 
+#include "common/large_vector.hpp"
+
 namespace liquid3d {
 
 /// Lower-banded column-major storage: element (i, j) with j <= i <= j+b
@@ -59,13 +61,26 @@ class BandedSpdMatrix {
   /// BIT-IDENTICAL to a standalone single-RHS solve of that right-hand side
   /// (the kernel replicates the single-RHS operation order per system);
   /// batched transient scenarios rely on this for serial parity.
+  ///
+  /// The kernel works at lane_stride(nrhs) systems per row: when nrhs is
+  /// already a lane stride the solve runs in place; otherwise the systems
+  /// are copied into a padded scratch block first.  Hot callers pack at
+  /// lane_stride() themselves.
   void solve(std::span<double> rhs, std::size_t nrhs) const;
+
+  /// The interleave stride the multi-RHS kernel runs `nrhs` systems at: 1
+  /// and 2 stay, wider batches round up to whole vectors of the kernel's
+  /// build (a multiple of 4 lanes with AVX or AVX-512, of 2 otherwise).  A
+  /// caller that packs at this stride (the extra lanes zero, or anything
+  /// finite or not — systems never mix) and passes it as `nrhs` gets the
+  /// in-place kernel; each real lane's result is unchanged by the padding.
+  [[nodiscard]] static std::size_t lane_stride(std::size_t nrhs);
 
  private:
   std::size_t n_;
   std::size_t b_;
   std::size_t w_;  ///< column stride = b_ + 1
-  std::vector<double> band_;
+  LargeVector<double> band_;
   bool factorized_ = false;
 };
 

@@ -1,18 +1,212 @@
-// banded_spd_solve.cpp — the single-RHS triangular-solve path, in its own
-// translation unit so the build can disable floating-point contraction for
-// every solve kernel (see CMakeLists): with FMA contraction on, the
-// single-RHS and multi-RHS code shapes contract differently and the
-// bit-identity contract between batched and serial solves breaks.
-// Factorization stays in banded_spd.cpp with contraction enabled — it is
-// the same code for every model, so parity never depends on it.
+// banded_spd_solve.cpp — the triangular solves: the single-RHS path and
+// the multi-RHS kernel.  The TU builds with -ffp-contract=off (see
+// CMakeLists): with FMA contraction on, the two code shapes contract
+// differently and the bit-identity contract between batched and serial
+// solves breaks.  Factorization stays in banded_spd.cpp with contraction
+// enabled — it is the same code for every model, so parity never depends
+// on it.
+//
+// The multi-RHS kernel is written with explicit GCC/Clang vector
+// extensions instead of leaning on the auto-vectorizer: the systems of a
+// batch are interleaved node-major at a padded lane stride (lane_stride),
+// so every row of the batch is a whole number of vectors and one kernel —
+// templated only on vectors per row — serves every width at the same
+// per-lane cost.  Every lane performs exactly the single-RHS arithmetic:
+// the same operation order, the same eight-accumulator backward
+// reduction, true division.  Vector operations are lane-wise IEEE
+// operations, so each lane of a batched solve is bit-identical to a
+// standalone solve of that right-hand side, whatever the batch width, and
+// lanes never mix, so padding lanes are inert.
 #include "thermal/solver/banded_spd.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/error.hpp"
-#include "thermal/solver/banded_spd_kernels.hpp"
 
 namespace liquid3d {
+
+namespace {
+
+// Lane vectors.  The widest type matches the target ISA; narrower ones
+// cover strides it does not divide (a stride of 4 or 12 on AVX-512).
+// Types wider than the ISA's registers are never declared: on SSE2 they
+// run slower than pairs and trip -Wpsabi.
+typedef double V2 __attribute__((vector_size(16)));
+#if defined(__AVX__)
+typedef double V4 __attribute__((vector_size(32)));
+#endif
+#if defined(__AVX512F__)
+typedef double V8 __attribute__((vector_size(64)));
+#endif
+
+template <typename V>
+constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+
+// Unaligned lane access: interleaved rows start wherever the caller's
+// buffer puts them.  Always inlined so no vector crosses a call boundary.
+template <typename V>
+[[gnu::always_inline]] inline V load(const double* p) {
+  V v;
+  __builtin_memcpy(&v, p, sizeof(V));
+  return v;
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void store(double* p, const V& v) {
+  __builtin_memcpy(p, &v, sizeof(V));
+}
+
+/// Solve L L^T X = B for the NV * kLanes<V> interleaved systems starting at
+/// `x`; row i of the block is x[i * stride ...].  The blocked algorithm is
+/// the single-RHS one with each scalar widened to NV vectors.
+template <typename V, std::size_t NV>
+void solve_block(const double* const band, double* const x, std::size_t n,
+                 std::size_t b, std::size_t w, std::size_t stride) {
+  constexpr std::size_t L = kLanes<V>;
+  constexpr std::size_t kBlk = 8;
+  const auto row = [x, stride](std::size_t i) { return x + i * stride; };
+
+  // Forward: L y = rhs.
+  std::size_t j0 = 0;
+  for (; j0 + kBlk <= n; j0 += kBlk) {
+    // Finalize y within the block (intra-block dependencies are the
+    // kBlk x kBlk lower triangle at the top of the block's columns).
+    V y[kBlk][NV];
+    for (std::size_t j = j0; j < j0 + kBlk; ++j) {
+      V* const yj = y[j - j0];
+      for (std::size_t k = 0; k < NV; ++k) yj[k] = load<V>(row(j) + k * L);
+      for (std::size_t p = j0; p < j; ++p) {
+        if (j - p > b) continue;
+        const double lpj = band[p * w + (j - p)];
+        for (std::size_t k = 0; k < NV; ++k) yj[k] -= lpj * y[p - j0][k];
+      }
+      const double dj = band[j * w];
+      for (std::size_t k = 0; k < NV; ++k) {
+        yj[k] /= dj;
+        store(row(j) + k * L, yj[k]);
+      }
+    }
+    // Fused update of the rows every block column reaches.  cJ[i] is
+    // L(i, J) — base pointers shifted so all eight streams index by i.
+    const double* const c0 = band + j0 * w - j0;
+    const double* const c1 = c0 + w - 1;
+    const double* const c2 = c1 + w - 1;
+    const double* const c3 = c2 + w - 1;
+    const double* const c4 = c3 + w - 1;
+    const double* const c5 = c4 + w - 1;
+    const double* const c6 = c5 + w - 1;
+    const double* const c7 = c6 + w - 1;
+    const std::size_t i_common = std::min(n - 1, j0 + b);
+    for (std::size_t i = j0 + kBlk; i <= i_common; ++i) {
+      const double l0 = c0[i], l1 = c1[i], l2 = c2[i], l3 = c3[i];
+      const double l4 = c4[i], l5 = c5[i], l6 = c6[i], l7 = c7[i];
+      double* const xi = row(i);
+      for (std::size_t k = 0; k < NV; ++k) {
+        const V sum = l0 * y[0][k] + l1 * y[1][k] + l2 * y[2][k] +
+                      l3 * y[3][k] + l4 * y[4][k] + l5 * y[5][k] +
+                      l6 * y[6][k] + l7 * y[7][k];
+        store(xi + k * L, load<V>(xi + k * L) - sum);
+      }
+    }
+    // Per-column tails beyond the first column's band reach.
+    for (std::size_t j = j0 + 1; j < j0 + kBlk; ++j) {
+      const std::size_t i_hi = std::min(n - 1, j + b);
+      const double* const cj = band + j * w - j;
+      for (std::size_t i = std::max(i_common + 1, j0 + kBlk); i <= i_hi; ++i) {
+        const double lj = cj[i];
+        double* const xi = row(i);
+        for (std::size_t k = 0; k < NV; ++k) {
+          store(xi + k * L, load<V>(xi + k * L) - lj * y[j - j0][k]);
+        }
+      }
+    }
+  }
+  for (std::size_t j = j0; j < n; ++j) {
+    const double* const colj = band + j * w;
+    const std::size_t m = std::min(b, n - 1 - j);
+    for (std::size_t k = 0; k < NV; ++k) {
+      const V yj = load<V>(row(j) + k * L) / colj[0];
+      store(row(j) + k * L, yj);
+      for (std::size_t t = 1; t <= m; ++t) {
+        double* const xt = row(j + t) + k * L;
+        store(xt, load<V>(xt) - colj[t] * yj);
+      }
+    }
+  }
+
+  // Backward: L^T x = y — the single-RHS eight-accumulator dot product,
+  // one set of accumulators per vector, reduced in the same fixed order.
+  for (std::size_t jj = n; jj-- > 0;) {
+    const double* const colj = band + jj * w;
+    const std::size_t m = std::min(b, n - 1 - jj);
+    V s[kBlk][NV] = {};
+    std::size_t t = 1;
+    for (; t + 7 <= m; t += 8) {
+      for (std::size_t u = 0; u < kBlk; ++u) {
+        const double l = colj[t + u];
+        const double* const xt = row(jj + t + u);
+        for (std::size_t k = 0; k < NV; ++k) s[u][k] += l * load<V>(xt + k * L);
+      }
+    }
+    for (; t <= m; ++t) {
+      const double l = colj[t];
+      const double* const xt = row(jj + t);
+      for (std::size_t k = 0; k < NV; ++k) s[0][k] += l * load<V>(xt + k * L);
+    }
+    double* const xj = row(jj);
+    for (std::size_t k = 0; k < NV; ++k) {
+      const V dot = ((s[0][k] + s[1][k]) + (s[2][k] + s[3][k])) +
+                    ((s[4][k] + s[5][k]) + (s[6][k] + s[7][k]));
+      store(xj + k * L, (load<V>(xj + k * L) - dot) / colj[0]);
+    }
+  }
+}
+
+/// Solve the `stride` interleaved systems as vectors of V, at most four
+/// vectors per pass over the factor (more would spill the accumulators).
+template <typename V>
+void solve_lanes(const double* band, double* x, std::size_t n, std::size_t b,
+                 std::size_t w, std::size_t stride) {
+  constexpr std::size_t kMaxVectors = 4;
+  const std::size_t vectors = stride / kLanes<V>;
+  for (std::size_t v = 0; v < vectors; v += kMaxVectors) {
+    double* const xv = x + v * kLanes<V>;
+    switch (std::min(kMaxVectors, vectors - v)) {
+      case 1: solve_block<V, 1>(band, xv, n, b, w, stride); break;
+      case 2: solve_block<V, 2>(band, xv, n, b, w, stride); break;
+      case 3: solve_block<V, 3>(band, xv, n, b, w, stride); break;
+      default: solve_block<V, 4>(band, xv, n, b, w, stride); break;
+    }
+  }
+}
+
+/// Solve L L^T X = B in place for `stride` interleaved right-hand sides
+/// (layout x[i * stride + r]); `stride` is even.
+void solve_multi_lanes(const double* band, double* x, std::size_t n,
+                       std::size_t b, std::size_t w, std::size_t stride) {
+  // The widest vector that divides the stride.
+#if defined(__AVX512F__)
+  if (stride % kLanes<V8> == 0) return solve_lanes<V8>(band, x, n, b, w, stride);
+#endif
+#if defined(__AVX__)
+  if (stride % kLanes<V4> == 0) return solve_lanes<V4>(band, x, n, b, w, stride);
+#endif
+  solve_lanes<V2>(band, x, n, b, w, stride);
+}
+
+}  // namespace
+
+std::size_t BandedSpdMatrix::lane_stride(std::size_t nrhs) {
+  // Pad to the narrowest vector the kernel prefers: 4 lanes once AVX has
+  // them (an AVX-512 build runs a stride of 4 or 12 as V4), pairs on SSE2.
+#if defined(__AVX__)
+  constexpr std::size_t kBlock = kLanes<V4>;
+#else
+  constexpr std::size_t kBlock = kLanes<V2>;
+#endif
+  return nrhs <= 2 ? nrhs : (nrhs + kBlock - 1) / kBlock * kBlock;
+}
 
 void BandedSpdMatrix::solve(std::vector<double>& rhs) const {
   LIQUID3D_REQUIRE(rhs.size() == n_, "rhs size mismatch");
@@ -27,7 +221,20 @@ void BandedSpdMatrix::solve(std::span<double> rhs, std::size_t nrhs) const {
   double* const x = rhs.data();
 
   if (nrhs > 1) {
-    detail::solve_multi_dispatch(band, x, n_, b_, w_, nrhs);
+    const std::size_t stride = lane_stride(nrhs);
+    if (stride == nrhs) {
+      solve_multi_lanes(band, x, n_, b_, w_, stride);
+      return;
+    }
+    // Cold path (tests, benches): pad into a zeroed lane block and back.
+    std::vector<double> padded(n_ * stride, 0.0);
+    for (std::size_t i = 0; i < n_; ++i) {
+      std::copy_n(x + i * nrhs, nrhs, padded.data() + i * stride);
+    }
+    solve_multi_lanes(band, padded.data(), n_, b_, w_, stride);
+    for (std::size_t i = 0; i < n_; ++i) {
+      std::copy_n(padded.data() + i * stride, nrhs, x + i * nrhs);
+    }
     return;
   }
 

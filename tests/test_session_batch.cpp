@@ -5,10 +5,13 @@
 // Simulator::run() calls.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/simulator.hpp"
 #include "thermal/batch_stepper.hpp"
@@ -77,6 +80,91 @@ TEST(BatchStepper, LockstepIsBitIdenticalToSerialSteps) {
     EXPECT_EQ(batched[i]->fluid_outlet_temperature(1),
               serial[i]->fluid_outlet_temperature(1));
   }
+}
+
+TEST(BatchStepper, ShrinkingActiveSetAcrossLaneStridesMatchesSerial) {
+  // Members leave the lockstep set between steps (9 -> 5 -> 4 -> 1, lane
+  // strides 12 -> 8 -> 4 -> 1 with AVX, 10 -> 6 -> 4 -> 1 on SSE2) and
+  // within steps as their fluid fixed points converge; every model still
+  // matches its serial twin exactly.
+  constexpr std::size_t kModels = 9;
+  std::vector<std::unique_ptr<ThermalModel3D>> batched;
+  std::vector<std::unique_ptr<ThermalModel3D>> serial;
+  std::vector<ThermalModel3D*> ptrs;
+  for (std::size_t i = 0; i < kModels; ++i) {
+    const double watts = 1.2 + 0.3 * static_cast<double>(i);
+    const double flow = 6.0 + 4.0 * static_cast<double>(i);
+    batched.push_back(make_loaded_model(watts, flow, CoolingType::kLiquid));
+    serial.push_back(make_loaded_model(watts, flow, CoolingType::kLiquid));
+    ptrs.push_back(batched.back().get());
+  }
+
+  BatchThermalStepper stepper;
+  for (const std::size_t width : {9u, 5u, 4u, 1u}) {
+    for (int tick = 0; tick < 6; ++tick) {
+      stepper.step(std::span<ThermalModel3D* const>(ptrs.data(), width), 0.05);
+      for (std::size_t i = 0; i < width; ++i) serial[i]->step(0.05);
+    }
+  }
+  for (std::size_t i = 0; i < kModels; ++i) {
+    for (std::size_t l = 0; l < batched[i]->layer_count(); ++l) {
+      for (std::size_t c = 0; c < batched[i]->grid().cell_count(); ++c) {
+        ASSERT_EQ(batched[i]->cell_temperature(l, c),
+                  serial[i]->cell_temperature(l, c))
+            << "model " << i << " layer " << l << " cell " << c;
+      }
+    }
+    EXPECT_EQ(batched[i]->fluid_outlet_temperature(1),
+              serial[i]->fluid_outlet_temperature(1));
+  }
+}
+
+TEST(BatchStepper, FluidIterationMetricsMatchSerial) {
+  // Batched and serial steps record the same fluid fixed-point outcomes:
+  // one histogram sample per liquid model-step and one cap count per step
+  // that ran out of iterations.
+  const obs::ScopedEnabled on(true);
+  if (!obs::enabled()) GTEST_SKIP() << "observability compiled out";
+  obs::Histogram& iterations =
+      obs::Registry::global().histogram("liquid3d_fluid_iterations");
+  obs::Counter& capped =
+      obs::Registry::global().counter("liquid3d_fluid_iteration_cap_total");
+  struct Tally {
+    std::uint64_t samples, capped;
+    double iterations;
+  };
+  const auto tally = [&] {
+    return Tally{iterations.count(), capped.value(), iterations.sum()};
+  };
+  const auto run = [&](bool batch) {
+    std::vector<std::unique_ptr<ThermalModel3D>> models;
+    std::vector<ThermalModel3D*> ptrs;
+    for (std::size_t i = 0; i < 6; ++i) {
+      models.push_back(make_loaded_model(1.0 + 0.5 * static_cast<double>(i),
+                                         5.0 + 6.0 * static_cast<double>(i),
+                                         CoolingType::kLiquid));
+      ptrs.push_back(models.back().get());
+    }
+    BatchThermalStepper stepper;
+    const Tally before = tally();
+    for (int tick = 0; tick < 8; ++tick) {
+      if (batch) {
+        stepper.step(ptrs, 0.05);
+      } else {
+        for (ThermalModel3D* m : ptrs) m->step(0.05);
+      }
+    }
+    const Tally after = tally();
+    return Tally{after.samples - before.samples, after.capped - before.capped,
+                 after.iterations - before.iterations};
+  };
+  const Tally batched = run(true);
+  const Tally serial = run(false);
+  EXPECT_EQ(batched.samples, 6u * 8u);
+  EXPECT_EQ(batched.samples, serial.samples);
+  EXPECT_EQ(batched.capped, serial.capped);
+  EXPECT_EQ(batched.iterations, serial.iterations);
+  EXPECT_GE(batched.iterations, static_cast<double>(batched.samples));
 }
 
 TEST(BatchStepper, AirPackageMatchesSerial) {

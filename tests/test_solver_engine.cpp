@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <span>
 #include <vector>
@@ -138,7 +139,8 @@ TEST(SolverEngine, MultiRhsIsBitIdenticalToSingleRhs) {
 TEST(SolverEngine, MultiRhsBitIdenticalAcrossBatchWidths) {
   // A batch's width must not affect any member system: the lockstep
   // stepper's active set shrinks as models converge, so one model's solves
-  // run at many widths within a single simulation.
+  // run at many widths within a single simulation.  Every width covers a
+  // different mix of lane strides, vector types and padding.
   constexpr std::size_t n = 120;
   constexpr std::size_t bw = 17;
   Rng rng(29);
@@ -147,19 +149,71 @@ TEST(SolverEngine, MultiRhsBitIdenticalAcrossBatchWidths) {
   std::vector<double> probe(n);
   for (double& v : probe) v = rng.uniform(-4, 4);
 
-  std::vector<double> reference = probe;
-  m.solve(reference);
-  for (std::size_t nrhs : {2u, 3u, 5u, 8u, 13u, 16u, 19u}) {
+  for (std::size_t nrhs = 2; nrhs <= 19; ++nrhs) {
+    // Column r is the probe rotated by r rows.
     std::vector<double> batched(n * nrhs);
+    std::vector<std::vector<double>> singles(nrhs, std::vector<double>(n));
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t r = 0; r < nrhs; ++r) {
-        // Column 0 is the probe; the rest is arbitrary filler.
-        batched[i * nrhs + r] = r == 0 ? probe[i] : probe[(i + r) % n];
+        singles[r][i] = batched[i * nrhs + r] = probe[(i + r) % n];
       }
     }
+    for (auto& rhs : singles) m.solve(rhs);
     m.solve(std::span<double>(batched), nrhs);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(batched[i * nrhs], reference[i]) << "nrhs " << nrhs << " row " << i;
+    for (std::size_t r = 0; r < nrhs; ++r) {
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(batched[i * nrhs + r], singles[r][i])
+            << "nrhs " << nrhs << " rhs " << r << " row " << i;
+      }
+    }
+  }
+}
+
+TEST(SolverEngine, LaneStrideKeepsOneAndTwoAndRoundsUpToWholeVectors) {
+  // This TU builds with the library's flags, so it sees the kernel's ISA.
+#if defined(__AVX__)
+  const std::vector<std::size_t> expected = {1, 2, 4, 4, 8, 8, 8, 8, 12, 20};
+#else
+  const std::vector<std::size_t> expected = {1, 2, 4, 4, 6, 6, 8, 8, 10, 18};
+#endif
+  const std::vector<std::size_t> widths = {1, 2, 3, 4, 5, 6, 7, 8, 9, 17};
+  for (std::size_t k = 0; k < widths.size(); ++k) {
+    EXPECT_EQ(BandedSpdMatrix::lane_stride(widths[k]), expected[k])
+        << "width " << widths[k];
+  }
+}
+
+TEST(SolverEngine, PaddingLanesAreInert) {
+  // Padding lanes filled with NaN or huge values never reach a real lane:
+  // the real lanes stay bit-identical to single-RHS solves and finite.
+  constexpr std::size_t n = 97;  // a remainder past the last 8-row block
+  constexpr std::size_t bw = 13;
+  Rng rng(31);
+  BandedSpdMatrix m = random_network(n, bw, rng);
+  m.factorize();
+  for (const double junk : {std::numeric_limits<double>::quiet_NaN(), 1e300,
+                            std::numeric_limits<double>::infinity()}) {
+    for (std::size_t real = 3; real <= 11; ++real) {
+      const std::size_t stride = BandedSpdMatrix::lane_stride(real);
+      ASSERT_GE(stride, real);
+      std::vector<std::vector<double>> singles(real, std::vector<double>(n));
+      std::vector<double> packed(n * stride, junk);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t r = 0; r < real; ++r) {
+          singles[r][i] = packed[i * stride + r] = rng.uniform(-5, 5);
+        }
+      }
+      for (auto& rhs : singles) m.solve(rhs);
+      m.solve(std::span<double>(packed), stride);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t r = 0; r < real; ++r) {
+          ASSERT_TRUE(std::isfinite(packed[i * stride + r]))
+              << "junk " << junk << " real " << real << " row " << i;
+          ASSERT_EQ(packed[i * stride + r], singles[r][i])
+              << "junk " << junk << " real " << real << " rhs " << r
+              << " row " << i;
+        }
+      }
     }
   }
 }
