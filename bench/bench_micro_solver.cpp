@@ -17,6 +17,7 @@
 #include "reference_row_major_banded.hpp"
 #include "thermal/batch_stepper.hpp"
 #include "thermal/model3d.hpp"
+#include "thermal/solver/banded_lu.hpp"
 #include "thermal/solver/banded_spd.hpp"
 
 namespace {
@@ -131,6 +132,60 @@ void multi_rhs_widths(benchmark::internal::Benchmark* b) {
 }
 BENCHMARK(BM_BandedSolveMultiRhs)->Apply(multi_rhs_widths);
 
+// The fluid-eliminated operator's LU at the same sizes: a non-symmetric
+// grid matrix with lower and upper bandwidth bw.  The solve reads the full
+// band whatever its values, so the rows compare directly with
+// BM_BandedSolve{,MultiRhs} (the transient step's single solve before the
+// fluid elimination).
+BandedLuMatrix make_lu_matrix(std::size_t n, std::size_t bw) {
+  BandedLuMatrix m(n, bw, bw);
+  for (std::size_t i = 0; i < n; ++i) m.add(i, i, 4.0);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    m.add(i, i + 1, -1.0);
+    m.add(i + 1, i, -1.5);
+  }
+  for (std::size_t i = 0; i + bw < n; ++i) {
+    m.add(i, i + bw, -1.0);
+    m.add(i + bw, i, -0.5);
+  }
+  m.factorize();
+  return m;
+}
+
+void BM_BandedLuSolve(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto bw = static_cast<std::size_t>(state.range(1));
+  const BandedLuMatrix m = make_lu_matrix(n, bw);
+  const std::vector<double> rhs(n, 1.0);
+  for (auto _ : state) {
+    std::vector<double> x = rhs;
+    m.solve(x);
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_BandedLuSolve)->Args({1196, 52})->Args({2392, 104})->Args({4784, 208});
+
+void BM_BandedLuSolveMultiRhs(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto bw = static_cast<std::size_t>(state.range(1));
+  const auto nrhs = static_cast<std::size_t>(state.range(2));
+  const BandedLuMatrix m = make_lu_matrix(n, bw);
+  const std::size_t stride = BandedLuMatrix::lane_stride(nrhs);
+  std::vector<double> rhs(n * stride, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::fill_n(rhs.begin() + static_cast<std::ptrdiff_t>(i * stride), nrhs, 1.0);
+  }
+  std::vector<double> x(n * stride);
+  for (auto _ : state) {
+    x = rhs;
+    m.solve(std::span<double>(x), stride);
+    benchmark::DoNotOptimize(x);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(nrhs));
+}
+BENCHMARK(BM_BandedLuSolveMultiRhs)->Apply(multi_rhs_widths);
+
 ThermalModel3D make_backend_model(std::size_t rows, std::size_t cols,
                                   std::size_t pairs, SolverBackend backend) {
   ThermalModelParams p;
@@ -164,17 +219,17 @@ void BM_TransientStep(benchmark::State& state) {
     m.step(0.05);
     benchmark::DoNotOptimize(m.max_temperature());
   }
-  state.SetLabel("50ms backward-Euler step incl. fluid march");
+  state.SetLabel("50ms backward-Euler step, one fluid-eliminated solve");
 }
 BENCHMARK(BM_TransientStep)
     ->Args({23, 26, 1})
     ->Args({23, 26, 2})
     ->Args({46, 52, 1});
 
-// Batched transient stepping: N independent models sharing one stack and dt
-// advance in lockstep through one factorization (BatchThermalStepper), so
-// the per-substep factor stream is read once for the whole batch instead of
-// once per scenario.  items = model-steps; compare items/s across the 1/4/16
+// Batched transient stepping: N independent models sharing one stack, dt and
+// flow advance in lockstep through one fluid-eliminated factorization
+// (BatchThermalStepper), so the per-substep factor stream is read once for
+// the whole batch instead of once per scenario.  items = model-steps; compare items/s across the 1/4/16
 // rows to read the per-solve batching win (the session/batch-runner layers
 // add only per-tick scheduling on top of this hot path).
 void BM_BatchedTransient(benchmark::State& state) {
@@ -184,8 +239,7 @@ void BM_BatchedTransient(benchmark::State& state) {
   for (std::size_t i = 0; i < nsessions; ++i) {
     models.push_back(std::make_unique<ThermalModel3D>(make_model(23, 26, 1)));
     ThermalModel3D& m = *models.back();
-    // Distinct power maps: convergence trajectories (and fluid fixed-point
-    // depths) differ across the batch, as they do across real scenarios.
+    // Distinct power maps, as across real scenarios.
     const Floorplan& fp = m.stack().layer(0).floorplan;
     std::vector<double> w(fp.block_count(), 0.0);
     for (std::size_t b = 0; b < fp.block_count(); ++b) {

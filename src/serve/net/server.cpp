@@ -66,7 +66,7 @@ void ServeServer::listener_loop() {
     }
     if (fds[1].revents != 0) return;  // wake pipe: shutting down
     if ((fds[0].revents & POLLIN) == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = accept_socket(listen_fd_);
     if (fd < 0) continue;
 
     auto conn = std::make_shared<Connection>();

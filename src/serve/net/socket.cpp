@@ -2,6 +2,7 @@
 
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -15,6 +16,12 @@
 namespace liquid3d {
 
 namespace {
+
+/// Unix-domain sockets have no Nagle delay; the call fails harmlessly.
+void set_no_delay(int fd) {
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+}
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw WireError(WireErrorCode::kDisconnected,
@@ -128,6 +135,12 @@ Endpoint bound_endpoint(int listen_fd, const Endpoint& requested) {
   return ep;
 }
 
+int accept_socket(int listen_fd) {
+  const int fd = ::accept(listen_fd, nullptr, nullptr);
+  if (fd >= 0) set_no_delay(fd);
+  return fd;
+}
+
 int connect_socket(const Endpoint& ep) {
   if (ep.kind == Endpoint::Kind::kUnix) {
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -146,7 +159,10 @@ int connect_socket(const Endpoint& ep) {
   for (addrinfo* ai = list; ai != nullptr; ai = ai->ai_next) {
     fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
     if (fd < 0) continue;
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
+    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
+      set_no_delay(fd);
+      break;
+    }
     saved_errno = errno;
     ::close(fd);
     fd = -1;

@@ -9,6 +9,10 @@
 // the actual address so tests and the daemon's stdout can hand it to
 // clients.  All failures throw ConfigError (bad spec) or WireError
 // (socket-layer failure) naming the endpoint.
+//
+// Both ends of a TCP connection set TCP_NODELAY: a request or answer is
+// one small frame written as it is ready, and Nagle's algorithm would hold
+// a frame back until the previous one is acknowledged.
 #pragma once
 
 #include <string>
@@ -39,6 +43,11 @@ struct Endpoint {
 [[nodiscard]] Endpoint bound_endpoint(int listen_fd, const Endpoint& requested);
 
 /// Connects to an endpoint; throws WireError{kDisconnected} on refusal.
+/// TCP connections get TCP_NODELAY.
 [[nodiscard]] int connect_socket(const Endpoint& ep);
+
+/// Accepts one connection (-1 when accept fails; errno says why).  TCP
+/// connections get TCP_NODELAY.
+[[nodiscard]] int accept_socket(int listen_fd);
 
 }  // namespace liquid3d

@@ -141,6 +141,12 @@ void ThermalModel3D::build_topology() {
     }
   }
 
+  net.min_capacitance.assign(layer_count_, std::numeric_limits<double>::infinity());
+  for (std::size_t i = 0; i < node_count_; ++i) {
+    double& c_min = net.min_capacitance[i % layer_count_];
+    c_min = std::min(c_min, net.capacitance[i]);
+  }
+
   // Lateral conduction.
   for (std::size_t l = 0; l < layer_count_; ++l) {
     const double t_die = stack_.layer(l).die_thickness;
@@ -487,14 +493,106 @@ void ThermalModel3D::assemble_transient_rhs(double inv_dt, double* out) const {
   }
 }
 
+void ThermalModel3D::assemble_eliminated_rhs(const FluidEliminatedSystem& sys,
+                                             double* out) const {
+  // Stored heat + injected power + the inlet constant of the elimination.
+  const double* const capacitance = net_->capacitance.data();
+  const double* const inlet_coef = sys.inlet_coef.data();
+  for (std::size_t i = 0; i < node_count_; ++i) {
+    out[i] = capacitance[i] * sys.inv_dt * temps_[i] + cell_power_[i] +
+             inlet_coef[i] * inlet_temperature_;
+  }
+}
+
+double ThermalModel3D::dominance_deficit(std::size_t layer) const {
+  // A wall row of cavity k loses g_w (sigma_k - 2) / (sigma_k + 2) of
+  // dominance at worst (sigma = g_sum / w_row; see dominance_margin).  A
+  // stagnant cavity couples each cell's walls only to each other and
+  // loses none.
+  const auto loss = [this](std::size_t k) {
+    const double w_row = params_.coolant.volumetric_heat_capacity() *
+                         cavity_flows_[k].m3_per_s() /
+                         static_cast<double>(grid_.rows());
+    if (!(w_row > 1e-12)) return 0.0;
+    const double g_sum =
+        (k >= 1 ? g_fluid_dn_ : 0.0) + (k < layer_count_ ? g_fluid_up_ : 0.0);
+    return std::max(0.0, (g_sum - 2.0 * w_row) / (g_sum + 2.0 * w_row));
+  };
+  // Die `layer` is the upper wall of cavity `layer` and the lower wall of
+  // cavity `layer + 1`.
+  return g_fluid_up_ * loss(layer) + g_fluid_dn_ * loss(layer + 1);
+}
+
+double ThermalModel3D::dominance_margin(double inv_dt) const {
+  double margin = std::numeric_limits<double>::infinity();
+  if (!stack_.has_cavities()) return margin;
+  for (std::size_t l = 0; l < layer_count_; ++l) {
+    margin = std::min(margin, net_->min_capacitance[l] * inv_dt - dominance_deficit(l));
+  }
+  return margin;
+}
+
+std::size_t ThermalModel3D::admissible_substeps(double dt_s) const {
+  // The margin is affine in 1/dt: the smallest admissible 1/dt is the
+  // largest deficit-to-capacitance ratio over the dies.
+  double inv_dt_min = 0.0;
+  for (std::size_t l = 0; l < layer_count_; ++l) {
+    inv_dt_min = std::max(inv_dt_min, dominance_deficit(l) / net_->min_capacitance[l]);
+  }
+  if (inv_dt_min == 0.0) return 1;
+  const double k_min = std::max(1.0, std::ceil(dt_s * inv_dt_min));
+  if (!(k_min <= static_cast<double>(kMaxSubsteps))) {
+    throw SolverError(
+        "fluid-eliminated step needs more than kMaxSubsteps sub-steps to keep "
+        "its unpivoted LU diagonally dominant (C_i/dt >= sum over cavity faces "
+        "of g_w (sigma-2)/(sigma+2), sigma = g_sum/w_row); raise the flow, "
+        "shorten the step, or use the PCG backend",
+        "direct", kMaxSubsteps, k_min);
+  }
+  auto k = static_cast<std::size_t>(k_min);
+  while (dominance_margin(static_cast<double>(k) / dt_s) < 0.0) ++k;  // rounding
+  return k;
+}
+
+void ThermalModel3D::advance_eliminated(double dt_s) {
+  const std::size_t substeps = admissible_substeps(dt_s);
+  const FluidEliminatedSystem& sys =
+      fluid_eliminated(static_cast<double>(substeps) / dt_s);
+  static obs::Histogram& solve_h = obs::Registry::global().histogram(
+      "liquid3d_solver_direct_solve_seconds");
+  for (std::size_t sub = 0; sub < substeps; ++sub) {
+    assemble_eliminated_rhs(sys, rhs_.data());
+    require_finite(rhs_.data(), node_count_,
+                   "assembled backward-Euler RHS contains non-finite values "
+                   "(check power inputs)");
+    {
+      obs::ScopedTimer t(solve_h);
+      sys.lu.solve(rhs_);
+    }
+    temps_.swap(rhs_);
+    require_finite(temps_.data(), node_count_,
+                   "linear solve produced non-finite temperatures");
+  }
+  (void)march_all_fluid();  // the fluid field of the new wall temperatures
+  record_fluid_fixed_point(substeps, false);
+}
+
 double ThermalModel3D::advance(double dt_s, std::size_t fluid_iters,
                                double fluid_tol) {
+  temps_prev_.assign(temps_.begin(), temps_.end());
+  const bool liquid = stack_.has_cavities();
+  if (liquid && backend_ == SolverBackend::kDirect) {
+    advance_eliminated(dt_s);
+    return change_since_prev();
+  }
+  // Liquid stacks on PCG alternate a silicon solve with the fluid lagged and
+  // a fluid march until the fluid moves less than fluid_tol: the
+  // fluid-eliminated operator is non-symmetric, and the CSR system must stay
+  // SPD for the conjugate gradient.
   const double inv_dt = 1.0 / dt_s;
   const BandedSpdMatrix* direct =
       backend_ == SolverBackend::kDirect ? &matrix_for_dt(dt_s) : nullptr;
   PcgSolver* pcg = direct ? nullptr : &pcg_for_dt(dt_s);
-  temps_prev_.assign(temps_.begin(), temps_.end());
-  const bool liquid = stack_.has_cavities();
   const std::size_t max_iters = liquid ? fluid_iters : 1;
 
   std::size_t iterations = 0;
@@ -544,7 +642,10 @@ double ThermalModel3D::advance(double dt_s, std::size_t fluid_iters,
     converged = march_all_fluid() < fluid_tol;
   }
   if (liquid) record_fluid_fixed_point(iterations, !converged);
+  return change_since_prev();
+}
 
+double ThermalModel3D::change_since_prev() const {
   double change = 0.0;
   for (std::size_t i = 0; i < node_count_; ++i) {
     change = std::max(change, std::abs(temps_[i] - temps_prev_[i]));
@@ -603,12 +704,15 @@ void ThermalModel3D::update_package_steady() {
   sink_temp_ = (a11 * g_sa * params_.ambient_temperature + g_ss * gt_total) / det;
 }
 
-void ThermalModel3D::build_steady_direct_system(BandedLuMatrix& m,
-                                                std::vector<double>& inlet_coef) const {
+void ThermalModel3D::build_fluid_eliminated(BandedLuMatrix& m,
+                                            std::vector<double>& inlet_coef,
+                                            double inv_dt) const {
   m.set_zero();
   inlet_coef.assign(node_count_, 0.0);
-  // Conduction network (no capacitance term: this is the true steady state,
-  // not a pseudo-transient step).
+  // Stored heat (none for the steady state) and the conduction network.
+  for (std::size_t i = 0; i < node_count_; ++i) {
+    m.add(i, i, net_->capacitance[i] * inv_dt);
+  }
   for (const Coupling& c : net_->couplings) {
     m.add(c.a, c.a, c.g);
     m.add(c.b, c.b, c.g);
@@ -624,26 +728,32 @@ void ThermalModel3D::build_steady_direct_system(BandedLuMatrix& m,
   // the inlet and the upstream wall temperatures, and the convective term
   // g_w (T_wall - T_f) becomes ordinary matrix couplings plus an inlet
   // constant — all within the band, since upstream cells of the same row
-  // are at most (cols-1)*layers node indices away.
+  // are at most (cols-1)*layers node indices away.  Stagnant coolant
+  // (T_f,c = (g_dn T_dn,c + g_up T_up,c) / g_sum) is the same recursion
+  // with s = s2 = d = u = 0.
   std::vector<double> coef_dn(cell_count_, 0.0);
   std::vector<double> coef_up(cell_count_, 0.0);
   for (std::size_t k = 0; k < stack_.cavity_count(); ++k) {
     const double w_cavity =
         params_.coolant.volumetric_heat_capacity() * cavity_flows_[k].m3_per_s();
     const double w_row = w_cavity / static_cast<double>(grid_.rows());
-    LIQUID3D_ASSERT(w_row > 1e-12, "direct steady solve requires nonzero flow");
     const bool has_below = k >= 1;
     const bool has_above = k < layer_count_;
     const double g_dn = has_below ? g_fluid_dn_ : 0.0;
     const double g_up = has_above ? g_fluid_up_ : 0.0;
     const double g_sum = g_dn + g_up;
-    const double denom = 1.0 + g_sum / (2.0 * w_row);
-    const double s = 1.0 - g_sum / (w_row * denom);
-    const double d = g_dn / (w_row * denom);
-    const double u = g_up / (w_row * denom);
-    const double s2 = 1.0 - g_sum / (2.0 * w_row * denom);
-    const double d2 = g_dn / (2.0 * w_row * denom);
-    const double u2 = g_up / (2.0 * w_row * denom);
+    double s = 0.0, d = 0.0, u = 0.0, s2 = 0.0;
+    double d2 = g_dn / g_sum;
+    double u2 = g_up / g_sum;
+    if (w_row > 1e-12) {
+      const double denom = 1.0 + g_sum / (2.0 * w_row);
+      s = 1.0 - g_sum / (w_row * denom);
+      d = g_dn / (w_row * denom);
+      u = g_up / (w_row * denom);
+      s2 = 1.0 - g_sum / (2.0 * w_row * denom);
+      d2 = g_dn / (2.0 * w_row * denom);
+      u2 = g_up / (2.0 * w_row * denom);
+    }
     const bool reverse = params_.alternate_flow_direction && (k % 2 == 1);
     for (std::size_t r = 0; r < grid_.rows(); ++r) {
       double alpha = 1.0;  // T_in coefficient on the inlet temperature
@@ -692,6 +802,60 @@ void ThermalModel3D::build_steady_direct_system(BandedLuMatrix& m,
   }
 }
 
+const ThermalModel3D::FluidEliminatedSystem& ThermalModel3D::fluid_eliminated(
+    double inv_dt) {
+  // Every input of the assembly enters the key bit for bit, so the slot
+  // and the shared cache agree: a model never steps through a factor built
+  // for a neighbouring dt or flow, and an adopted system is the one this
+  // model would build.
+  std::vector<std::uint64_t>& key = fe_key_scratch_;
+  key.assign({grid_.rows(), grid_.cols(), params_.alternate_flow_direction,
+              std::bit_cast<std::uint64_t>(g_fluid_dn_),
+              std::bit_cast<std::uint64_t>(g_fluid_up_),
+              std::bit_cast<std::uint64_t>(params_.coolant.volumetric_heat_capacity()),
+              std::bit_cast<std::uint64_t>(inv_dt)});
+  for (const VolumetricFlow& f : cavity_flows_) {
+    key.push_back(std::bit_cast<std::uint64_t>(f.m3_per_s()));
+  }
+  if (fe_ != nullptr && key == fe_key_) return *fe_;
+  // Held weakly: a system lives exactly as long as some model steps through
+  // it (or an InternPin holds it).  A 4-layer factor is 4 MB, and systems
+  // exist per flow vector, so strongly held leftovers would dominate RSS.
+  using Key = std::pair<const ConductionNetwork*, std::vector<std::uint64_t>>;
+  static MemoCache<Key, const FluidEliminatedSystem> live;
+  fe_ = nullptr;  // never hold two systems at once
+  fe_key_.clear();
+  fe_ = live.get(Key{net_.get(), key}, [&] {
+    const double margin = dominance_margin(inv_dt);
+    if (margin < 0.0) {
+      throw SolverError(
+          "fluid-eliminated operator is not diagonally dominant, so its "
+          "unpivoted LU is unsafe: every node needs C_i/dt >= sum over its "
+          "cavity faces of g_w (sigma-2)/(sigma+2), sigma = g_sum/w_row "
+          "(raise the flow, shorten the step, or use the PCG backend)",
+          "direct", 0, -margin);
+    }
+    static obs::Histogram& assemble_h =
+        obs::Registry::global().histogram("liquid3d_solver_assemble_seconds");
+    static obs::Histogram& factorize_h =
+        obs::Registry::global().histogram("liquid3d_solver_factorize_seconds");
+    const std::size_t bw = grid_.cols() * layer_count_;
+    auto sys = std::make_shared<FluidEliminatedSystem>(
+        FluidEliminatedSystem{net_, BandedLuMatrix(node_count_, bw, bw), {}, inv_dt});
+    {
+      obs::ScopedTimer t(assemble_h);
+      build_fluid_eliminated(sys->lu, sys->inlet_coef, inv_dt);
+    }
+    {
+      obs::ScopedTimer t(factorize_h);
+      sys->lu.factorize();
+    }
+    return std::shared_ptr<const FluidEliminatedSystem>(std::move(sys));
+  });
+  fe_key_.swap(key);
+  return *fe_;
+}
+
 void ThermalModel3D::export_steady_operator(SteadyOperator& out) const {
   const bool liquid = stack_.has_cavities();
   out.nodes = liquid ? node_count_ : node_count_ + 2;
@@ -717,7 +881,7 @@ void ThermalModel3D::export_steady_operator(SteadyOperator& out) const {
     // pseudo-transient continuation.
     const std::size_t bw = grid_.cols() * layer_count_;
     BandedLuMatrix m(node_count_, bw, bw);
-    build_steady_direct_system(m, out.ref_coef);
+    build_fluid_eliminated(m, out.ref_coef, 0.0);
     out.row_ptr.push_back(0);
     for (std::size_t i = 0; i < node_count_; ++i) {
       const std::size_t j0 = i >= bw ? i - bw : 0;
@@ -789,58 +953,7 @@ void ThermalModel3D::export_steady_operator(SteadyOperator& out) const {
 }
 
 void ThermalModel3D::solve_steady_state_direct(const std::function<bool()>& pre_step) {
-  // Cache key: the full per-cavity flow vector.  Any single cavity moving
-  // outside the key tolerance invalidates the factorization — the eliminated
-  // coefficients of that cavity's rows change.
-  bool key_matches = steady_direct_ != nullptr &&
-                     steady_direct_flows_.size() == cavity_flows_.size();
-  if (key_matches) {
-    for (std::size_t k = 0; k < cavity_flows_.size(); ++k) {
-      if (!FactorizationCache::keys_match(steady_direct_flows_[k],
-                                          cavity_flows_[k].ml_per_min())) {
-        key_matches = false;
-        break;
-      }
-    }
-  }
-  if (!key_matches) {
-    // Shared like the transient factors: every input of the elimination
-    // enters the key bit for bit, so an adopted system is the one this
-    // model would build.
-    using Key = std::pair<const ConductionNetwork*, std::vector<std::uint64_t>>;
-    static MemoCache<Key, const SteadyDirectSystem> live;
-    Key key{net_.get(),
-            {grid_.rows(), grid_.cols(), params_.alternate_flow_direction,
-             std::bit_cast<std::uint64_t>(g_fluid_dn_),
-             std::bit_cast<std::uint64_t>(g_fluid_up_),
-             std::bit_cast<std::uint64_t>(params_.coolant.volumetric_heat_capacity())}};
-    for (const VolumetricFlow& f : cavity_flows_) {
-      key.second.push_back(std::bit_cast<std::uint64_t>(f.m3_per_s()));
-    }
-    steady_direct_ = nullptr;  // never hold two systems at once
-    steady_direct_ = live.get(key, [&] {
-      static obs::Histogram& assemble_h =
-          obs::Registry::global().histogram("liquid3d_solver_assemble_seconds");
-      static obs::Histogram& factorize_h =
-          obs::Registry::global().histogram("liquid3d_solver_factorize_seconds");
-      const std::size_t bw = grid_.cols() * layer_count_;
-      auto sys = std::make_shared<SteadyDirectSystem>(
-          SteadyDirectSystem{BandedLuMatrix(node_count_, bw, bw), {}});
-      {
-        obs::ScopedTimer t(assemble_h);
-        build_steady_direct_system(sys->lu, sys->inlet_coef);
-      }
-      {
-        obs::ScopedTimer t(factorize_h);
-        sys->lu.factorize();
-      }
-      return std::shared_ptr<const SteadyDirectSystem>(std::move(sys));
-    });
-    steady_direct_flows_.resize(cavity_flows_.size());
-    for (std::size_t k = 0; k < cavity_flows_.size(); ++k) {
-      steady_direct_flows_[k] = cavity_flows_[k].ml_per_min();
-    }
-  }
+  const FluidEliminatedSystem& sys = fluid_eliminated(0.0);
   // The solve is exact for a fixed power map; the loop only iterates the
   // temperature-dependent power (leakage) supplied through pre_step.  Near
   // runaway the leakage loop gain approaches 1 and convergence stalls —
@@ -851,14 +964,12 @@ void ThermalModel3D::solve_steady_state_direct(const std::function<bool()>& pre_
   constexpr double kPowerTolerance = 0.05;  // K, the seed's leakage criterion
   for (std::size_t iter = 0; iter < kMaxPowerIterations; ++iter) {
     if (pre_step && !pre_step()) return;
-    for (std::size_t i = 0; i < node_count_; ++i) {
-      rhs_[i] = cell_power_[i] + steady_direct_->inlet_coef[i] * inlet_temperature_;
-    }
+    assemble_eliminated_rhs(sys, rhs_.data());
     static obs::Histogram& solve_h = obs::Registry::global().histogram(
         "liquid3d_solver_direct_solve_seconds");
     {
       obs::ScopedTimer t(solve_h);
-      steady_direct_->lu.solve(rhs_);
+      sys.lu.solve(rhs_);
     }
     double delta = 0.0;
     for (std::size_t i = 0; i < node_count_; ++i) {
@@ -887,38 +998,16 @@ void ThermalModel3D::solve_steady_state(const std::function<bool()>& pre_step) {
   // O(n b^2) cost profile the iterative backend exists to avoid — so the
   // PCG backend always takes the pseudo-transient continuation below, with
   // each backward-Euler step solved iteratively and warm-started.
+  // The direct solve needs the steady operator's unpivoted LU to be safe:
+  // every fluid-eliminated row diagonally dominant, which at 1/dt = 0
+  // holds exactly when sigma = g_sum / w_row <= 2 in every cavity.  In the
+  // deeply advection-limited regime beyond, the continuation below owns
+  // convergence, each pseudo-step sub-cycled into steps whose capacitance
+  // term restores dominance.
   if (params_.direct_steady_solver && stack_.has_cavities() &&
-      backend_ == SolverBackend::kDirect) {
-    // The unpivoted LU is provably stable while every fluid-eliminated row
-    // stays diagonally dominant, which holds exactly when the per-cell
-    // convective conductance does not exceed twice the per-row-channel
-    // capacity rate (sigma = g_sum / w_row <= 2).  With per-cavity flows
-    // the weakest cavity (smallest flow) governs.
-    double min_flow = cavity_flows_.front().m3_per_s();
-    for (const VolumetricFlow& f : cavity_flows_) {
-      min_flow = std::min(min_flow, f.m3_per_s());
-    }
-    const double w_row = params_.coolant.volumetric_heat_capacity() * min_flow /
-                         static_cast<double>(grid_.rows());
-    const double g_sum_max = g_fluid_dn_ + g_fluid_up_;
-    if (g_sum_max <= 2.0 * w_row) {
-      solve_steady_state_direct(pre_step);
-      return;
-    }
-    // Deeply advection-limited regime: dominance is not guaranteed, so the
-    // direct solution is demoted to an initializer — the pseudo-transient
-    // loop below owns convergence, and its criterion does not depend on the
-    // LU's accuracy.  A sanity clamp discards the initializer outright if
-    // the factorization ever did go unstable.
-    std::vector<double> backup(temps_);
-    solve_steady_state_direct({});
-    for (double t : temps_) {
-      if (!std::isfinite(t) || t < -200.0 || t > 2000.0) {
-        temps_ = std::move(backup);
-        (void)march_all_fluid();
-        break;
-      }
-    }
+      backend_ == SolverBackend::kDirect && dominance_margin(0.0) >= 0.0) {
+    solve_steady_state_direct(pre_step);
+    return;
   }
   // Far from the steady state the inner silicon<->fluid alternation need
   // not be polished: its tolerance tracks the last outer step's movement
@@ -952,8 +1041,8 @@ void ThermalModel3D::solve_steady_state(const std::function<bool()>& pre_step) {
 void ThermalModel3D::release_factorizations() {
   factor_cache_.clear();
   pcg_cache_.clear();
-  steady_direct_.reset();
-  steady_direct_flows_.clear();
+  fe_.reset();
+  fe_key_.clear();
 }
 
 double ThermalModel3D::cell_temperature(std::size_t layer, std::size_t cell) const {

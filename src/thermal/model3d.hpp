@@ -24,13 +24,14 @@
 //   * air-cooled stacks: TIM + spreader + sink lumped package (Table III
 //     capacitance), heat sink to ambient.
 //
-// Numerics: backward Euler with a banded Cholesky factorization that is
-// computed once per time step size (the network conductances do not depend
-// on the flow rate — only the fluid temperatures do), plus a fixed-point
-// outer loop coupling the silicon solve with the fluid march.  The runtime
-// flow-rate dependence enters through the advection term, which is the
+// Numerics: backward Euler.  Liquid stacks on the direct backend solve each
+// step as one banded LU of the fluid-eliminated operator K + C/dt: the
+// fluid march is affine in the wall temperatures, so eliminating it is
+// exact, and the factor depends on dt and on every cavity's flow — the
 // paper's "cell resistivity varies at runtime" mechanism expressed in its
-// physically equivalent form.
+// physically equivalent form.  Air stacks factor the flow-independent
+// conduction operator once per step size (banded Cholesky); the PCG
+// backend alternates an SPD silicon solve with the fluid march.
 #pragma once
 
 #include <cstddef>
@@ -112,12 +113,13 @@ struct ThermalModelParams {
   /// assumes a common inlet side.
   bool alternate_flow_direction = false;
 
-  // Fluid fixed-point iteration (inner loop of each implicit step).
+  // Fluid fixed-point iteration (inner loop of each implicit step) — PCG
+  // backend only; the direct backend eliminates the fluid exactly.
   double fluid_tolerance = 0.005;       ///< K
   std::size_t max_fluid_iterations = 10;
-  /// Inner fluid iterations during steady-state pseudo-transient steps; the
-  /// silicon<->fluid coupling approaches unit gain at very low flow, so the
-  /// steady path gets a larger budget.
+  /// Inner fluid iterations during steady-state pseudo-transient steps (PCG
+  /// backend); the silicon<->fluid coupling approaches unit gain at very
+  /// low flow, so the steady path gets a larger budget.
   std::size_t steady_fluid_iterations = 40;
 
   // Steady-state solve: pseudo-transient continuation.  A bare
@@ -133,7 +135,8 @@ struct ThermalModelParams {
   /// march is linear in the wall temperatures, and eliminating it couples
   /// each cell only to upstream cells in its channel row — within the
   /// matrix bandwidth — so one banded-LU solve replaces the whole
-  /// pseudo-transient continuation (which this flag falls back to).
+  /// pseudo-transient continuation (which this flag falls back to, as does
+  /// a flow beyond the sigma <= 2 dominance rule; see dominance_margin).
   /// Applies to the direct backend; the PCG backend always reaches the
   /// steady state by pseudo-transient continuation (the fluid-eliminated
   /// system is non-symmetric and banded — exactly the O(n b^2) object the
@@ -239,16 +242,28 @@ class ThermalModel3D {
   /// configured one); sizes must match.
   void restore_state(const ThermalState& state);
 
-  /// Factorization cache statistics (shared by transient and steady solves).
+  /// Cache statistics of the SPD factorizations (air stacks on the direct
+  /// backend; transient and steady pseudo-steps).
   [[nodiscard]] const FactorizationCache& factorization_cache() const {
     return factor_cache_;
   }
-  /// Whether the direct steady solve's LU factor is held (liquid stacks).
-  [[nodiscard]] bool steady_factorization_cached() const {
-    return steady_direct_ != nullptr;
+  /// The fluid-eliminated LU factor this model holds (liquid stacks on the
+  /// direct backend: every transient step and the direct steady solve), or
+  /// nullptr.  Models stepping through one shared factor return one pointer.
+  [[nodiscard]] const BandedLuMatrix* fluid_eliminated_factor() const {
+    return fe_ ? &fe_->lu : nullptr;
   }
+  /// Smallest diagonal-dominance margin over the rows of the
+  /// fluid-eliminated operator K + C/dt for the current flows, from the
+  /// elimination coefficients: min over nodes of C_i inv_dt minus the sum
+  /// over the node's cavity faces of g_w (sigma - 2) / (sigma + 2), with
+  /// sigma = g_sum / w_row of that cavity (stagnant cavities lose
+  /// nothing).  A lower bound on every row's |a_ii| - sum |a_ij|.  The
+  /// unpivoted LU is built only when it is >= 0 (SolverError otherwise);
+  /// at inv_dt = 0 that is the sigma <= 2 rule.  +inf on air stacks.
+  [[nodiscard]] double dominance_margin(double inv_dt) const;
   /// Drop every cached factorization and solver system (transient, steady
-  /// pseudo-step, direct steady LU, PCG).  Results do not change — the next
+  /// pseudo-step, fluid-eliminated LU, PCG).  Results do not change — the next
   /// solve rebuilds what it needs, bit for bit — so a caller that knows a
   /// factor will not be used again (a warm start's steady LU) frees it.
   void release_factorizations();
@@ -295,12 +310,21 @@ class ThermalModel3D {
     std::vector<BlockCellMap> maps;  ///< per layer
     std::vector<Coupling> couplings;
     std::vector<double> capacitance;  ///< per node [J/K]
+    std::vector<double> min_capacitance;  ///< per layer: smallest node's [J/K]
     std::vector<double> ext_diag;     ///< per node: total conductance to
                                       ///< external (fluid/package) temps [W/K]
     bool operator==(const ConductionNetwork&) const = default;
   };
   [[nodiscard]] static std::shared_ptr<const ConductionNetwork> share_network(
       ConductionNetwork&& net, std::uint64_t fingerprint);
+  /// A factored fluid-eliminated operator.  It holds its network, so the
+  /// network address in its cache key cannot be reused while it lives.
+  struct FluidEliminatedSystem {
+    std::shared_ptr<const ConductionNetwork> net;
+    BandedLuMatrix lu;
+    std::vector<double> inlet_coef;  ///< per node, on the inlet temperature
+    double inv_dt;                   ///< 0 for the steady state
+  };
 
   [[nodiscard]] std::size_t node(std::size_t layer, std::size_t cell) const {
     return cell * layer_count_ + layer;
@@ -323,24 +347,48 @@ class ThermalModel3D {
   /// PCG system (CSR operator + preconditioner) for the given step size —
   /// cached per dt exactly like the banded factorizations.
   PcgSolver& pcg_for_dt(double dt_s);
-  /// Assemble the fluid-eliminated steady system (liquid stacks): matrix
-  /// over silicon nodes plus each node's coefficient on the inlet
-  /// temperature (the constant term the elimination produces).
-  void build_steady_direct_system(BandedLuMatrix& m,
-                                  std::vector<double>& inlet_coef) const;
+  /// Assemble the fluid-eliminated operator K + C inv_dt (liquid stacks;
+  /// the steady state is inv_dt = 0): matrix over silicon nodes plus each
+  /// node's coefficient on the inlet temperature (the constant term the
+  /// elimination produces).
+  void build_fluid_eliminated(BandedLuMatrix& m, std::vector<double>& inlet_coef,
+                              double inv_dt) const;
+  /// The factored fluid-eliminated system for inv_dt and the current
+  /// flows: this model's slot when its exact-bit key matches, else the
+  /// shared cache's (built when no live one exists).  Throws SolverError
+  /// when dominance_margin(inv_dt) < 0.
+  const FluidEliminatedSystem& fluid_eliminated(double inv_dt);
+  /// Right-hand side of one fluid-eliminated step from the current field:
+  /// C inv_dt T + p + inlet_coef T_inlet.
+  void assemble_eliminated_rhs(const FluidEliminatedSystem& sys, double* out) const;
+  /// Dominance lost by the rows of one die to its cavity faces (see
+  /// dominance_margin).
+  [[nodiscard]] double dominance_deficit(std::size_t layer) const;
+  /// The fewest equal sub-steps of dt_s whose operator satisfies the
+  /// dominance bound: 1 whenever dt_s itself does, which covers every
+  /// transient step of the default grid at the pump settings.  Throws
+  /// SolverError naming the bound beyond kMaxSubsteps.
+  [[nodiscard]] std::size_t admissible_substeps(double dt_s) const;
+  static constexpr std::size_t kMaxSubsteps = 1024;
   /// Direct steady solve (liquid stacks); see ThermalModelParams.
   void solve_steady_state_direct(const std::function<bool()>& pre_step);
-  /// One backward-Euler step (including the fluid fixed point); returns the
-  /// largest node temperature change.  `fluid_tol` bounds the inner
-  /// silicon<->fluid alternation error for this step.  Dispatches the
-  /// linear solves to the resolved backend: the direct path back-substitutes
-  /// through the cached factorization, the PCG path iterates warm-started
-  /// from the current temperature field.
+  /// One backward-Euler step of dt_s; returns the largest node temperature
+  /// change.  Liquid stacks on the direct backend take advance_eliminated.
+  /// The PCG backend alternates a silicon solve with the fluid lagged and a
+  /// fluid march, at most `fluid_iters` times, until the fluid moves less
+  /// than `fluid_tol`; air stacks solve once.
   double advance(double dt_s, std::size_t fluid_iters, double fluid_tol);
-  /// Record one liquid step's silicon<->fluid fixed point in the global
-  /// registry: `iterations` linear solves, `capped` when the budget ran out
-  /// before the fluid change fell under the tolerance.  Shared by advance()
-  /// and the batch stepper, so batched and serial runs count alike.
+  /// The direct liquid step: one fluid-eliminated solve (exact in the
+  /// fluid), or admissible_substeps(dt_s) equal ones where the step is too
+  /// long for the dominance bound, then one fluid march.
+  void advance_eliminated(double dt_s);
+  /// Largest |T - T_prev| over the nodes.
+  [[nodiscard]] double change_since_prev() const;
+  /// Record one liquid step's linear solves in the global registry:
+  /// `iterations` solves, `capped` when the PCG fixed point's budget ran
+  /// out before the fluid change fell under the tolerance.  Shared by
+  /// advance() and the batch stepper, so batched and serial runs count
+  /// alike.
   static void record_fluid_fixed_point(std::size_t iterations, bool capped);
   /// Write the backward-Euler right-hand side (stored heat + injected power
   /// + external coupling terms) into out[i] for node i.  Reads temps_prev_
@@ -386,24 +434,19 @@ class ThermalModel3D {
   // batch groups are backend-homogeneous).
   SolverBackend backend_ = SolverBackend::kDirect;
 
-  // Cached factorizations, keyed by dt (transient sub-steps and the steady
-  // pseudo-step share one cache; see FactorizationCache for the tolerant
-  // key comparison that replaced the seed's exact `transient_dt_ == dt_s`).
+  // Air stacks' SPD factorizations, keyed by dt (transient sub-steps and the
+  // steady pseudo-step share one cache; see FactorizationCache for the
+  // tolerant key comparison).
   FactorizationCache factor_cache_{4};
   // Iterative-backend twin: PCG systems (CSR + preconditioner) per dt.
   DtKeyedLruCache<PcgSolver> pcg_cache_{4};
   PcgSummary last_pcg_{};
-  // Direct steady system, cached per flow *vector* (the elimination
-  // coefficients depend on every cavity's flow; conduction topology does
-  // not).  A change to any single cavity's flow invalidates the cache.
-  // Shared, like the transient factors, with models solving the identical
-  // system (same network and flows).
-  struct SteadyDirectSystem {
-    BandedLuMatrix lu;
-    std::vector<double> inlet_coef;
-  };
-  std::shared_ptr<const SteadyDirectSystem> steady_direct_;
-  std::vector<double> steady_direct_flows_;  ///< ml/min key; empty = not built
+  // The fluid-eliminated system this model last stepped or solved through
+  // (its elimination coefficients depend on every cavity's flow), and its
+  // exact-bit key.
+  std::shared_ptr<const FluidEliminatedSystem> fe_;
+  std::vector<std::uint64_t> fe_key_;  ///< empty = none held
+  std::vector<std::uint64_t> fe_key_scratch_;
 
   // Persistent scratch — the hot loop (`step`/`advance`) and the per-sample
   // readbacks must not touch the heap after warm-up.

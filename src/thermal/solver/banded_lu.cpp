@@ -57,28 +57,4 @@ void BandedLuMatrix::factorize() {
   factorized_ = true;
 }
 
-void BandedLuMatrix::solve(std::vector<double>& rhs) const {
-  LIQUID3D_ASSERT(factorized_, "solve requires a factorized matrix");
-  LIQUID3D_REQUIRE(rhs.size() == n_, "rhs size mismatch");
-  const double* const band = band_.data();
-  double* const x = rhs.data();
-  // Forward, unit-diagonal L: once y[k] is final, push it down the column.
-  for (std::size_t k = 0; k < n_; ++k) {
-    const double yk = x[k];
-    if (yk == 0.0) continue;
-    const double* const colk = band + k * w_ + bu_;
-    const std::size_t ml = std::min(bl_, n_ - 1 - k);
-    for (std::size_t i = 1; i <= ml; ++i) x[k + i] -= colk[i] * yk;
-  }
-  // Backward, U: finalize x[j], then push it up the column.
-  for (std::size_t jj = n_; jj-- > 0;) {
-    const double* const colj = band + jj * w_ + bu_;
-    const double xj = x[jj] / colj[0];
-    x[jj] = xj;
-    const std::size_t mu = std::min(bu_, jj);
-    const double* const up = colj - jj;  // up[i] = U(i, jj)
-    for (std::size_t i = jj - mu; i < jj; ++i) x[i] -= up[i] * xj;
-  }
-}
-
 }  // namespace liquid3d

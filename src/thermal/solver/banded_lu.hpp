@@ -7,12 +7,15 @@
 // the thermal matrix's existing half-bandwidth.  The eliminated system is
 // non-symmetric (advection is directional: upstream heats downstream, not
 // vice versa), so it needs LU rather than Cholesky.  Factorization is
-// unpivoted — thermal conduction networks with advection eliminated remain
-// strictly diagonally dominant — with a pivot-magnitude check that fails
-// loudly if an ill-formed network ever violates that.
+// unpivoted: ThermalModel3D builds a factor only when its rows are
+// diagonally dominant (ThermalModel3D::dominance_margin), and a
+// pivot-magnitude check fails loudly if an ill-formed matrix ever slips
+// through.  The solves live in banded_lu_solve.cpp: one explicit-SIMD
+// kernel for the single- and the multi-RHS solve.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/large_vector.hpp"
@@ -46,6 +49,14 @@ class BandedLuMatrix {
 
   /// Solve A x = rhs in place.
   void solve(std::vector<double>& rhs) const;
+
+  /// Batched multi-RHS solve, the SPD twin's contract (see
+  /// BandedSpdMatrix::solve(span, nrhs)): `rhs` holds nrhs right-hand
+  /// sides interleaved node-major (rhs[i * nrhs + r]), each system's
+  /// solution is bit-identical to a single-RHS solve of it, and a caller
+  /// that packs at lane_stride(nrhs) runs in place.
+  void solve(std::span<double> rhs, std::size_t nrhs) const;
+  [[nodiscard]] static std::size_t lane_stride(std::size_t nrhs);
 
  private:
   std::size_t n_;

@@ -23,39 +23,15 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "thermal/solver/simd_lanes.hpp"
 
 namespace liquid3d {
 
 namespace {
 
-// Lane vectors.  The widest type matches the target ISA; narrower ones
-// cover strides it does not divide (a stride of 4 or 12 on AVX-512).
-// Types wider than the ISA's registers are never declared: on SSE2 they
-// run slower than pairs and trip -Wpsabi.
-typedef double V2 __attribute__((vector_size(16)));
-#if defined(__AVX__)
-typedef double V4 __attribute__((vector_size(32)));
-#endif
-#if defined(__AVX512F__)
-typedef double V8 __attribute__((vector_size(64)));
-#endif
-
-template <typename V>
-constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
-
-// Unaligned lane access: interleaved rows start wherever the caller's
-// buffer puts them.  Always inlined so no vector crosses a call boundary.
-template <typename V>
-[[gnu::always_inline]] inline V load(const double* p) {
-  V v;
-  __builtin_memcpy(&v, p, sizeof(V));
-  return v;
-}
-
-template <typename V>
-[[gnu::always_inline]] inline void store(double* p, const V& v) {
-  __builtin_memcpy(p, &v, sizeof(V));
-}
+using simd::kLanes;
+using simd::load;
+using simd::store;
 
 /// Solve L L^T X = B for the NV * kLanes<V> interleaved systems starting at
 /// `x`; row i of the block is x[i * stride ...].  The blocked algorithm is
@@ -185,27 +161,15 @@ void solve_lanes(const double* band, double* x, std::size_t n, std::size_t b,
 /// (layout x[i * stride + r]); `stride` is even.
 void solve_multi_lanes(const double* band, double* x, std::size_t n,
                        std::size_t b, std::size_t w, std::size_t stride) {
-  // The widest vector that divides the stride.
-#if defined(__AVX512F__)
-  if (stride % kLanes<V8> == 0) return solve_lanes<V8>(band, x, n, b, w, stride);
-#endif
-#if defined(__AVX__)
-  if (stride % kLanes<V4> == 0) return solve_lanes<V4>(band, x, n, b, w, stride);
-#endif
-  solve_lanes<V2>(band, x, n, b, w, stride);
+  simd::dispatch_lanes(stride, [&]<typename V>() {
+    solve_lanes<V>(band, x, n, b, w, stride);
+  });
 }
 
 }  // namespace
 
 std::size_t BandedSpdMatrix::lane_stride(std::size_t nrhs) {
-  // Pad to the narrowest vector the kernel prefers: 4 lanes once AVX has
-  // them (an AVX-512 build runs a stride of 4 or 12 as V4), pairs on SSE2.
-#if defined(__AVX__)
-  constexpr std::size_t kBlock = kLanes<V4>;
-#else
-  constexpr std::size_t kBlock = kLanes<V2>;
-#endif
-  return nrhs <= 2 ? nrhs : (nrhs + kBlock - 1) / kBlock * kBlock;
+  return simd::lane_stride(nrhs);
 }
 
 void BandedSpdMatrix::solve(std::vector<double>& rhs) const {
@@ -221,20 +185,9 @@ void BandedSpdMatrix::solve(std::span<double> rhs, std::size_t nrhs) const {
   double* const x = rhs.data();
 
   if (nrhs > 1) {
-    const std::size_t stride = lane_stride(nrhs);
-    if (stride == nrhs) {
-      solve_multi_lanes(band, x, n_, b_, w_, stride);
-      return;
-    }
-    // Cold path (tests, benches): pad into a zeroed lane block and back.
-    std::vector<double> padded(n_ * stride, 0.0);
-    for (std::size_t i = 0; i < n_; ++i) {
-      std::copy_n(x + i * nrhs, nrhs, padded.data() + i * stride);
-    }
-    solve_multi_lanes(band, padded.data(), n_, b_, w_, stride);
-    for (std::size_t i = 0; i < n_; ++i) {
-      std::copy_n(padded.data() + i * stride, nrhs, x + i * nrhs);
-    }
+    simd::at_lane_stride(x, n_, nrhs, [&](double* block, std::size_t stride) {
+      solve_multi_lanes(band, block, n_, b_, w_, stride);
+    });
     return;
   }
 

@@ -193,11 +193,11 @@ TEST(MemoCache, ModelsOfOneStackShareOneNetwork) {
     m->initialize(45.0);
     m->step(0.05);
   }
-  // b adopts the transient factor a built; stepping through it is
-  // stepping through its own.
+  // b adopts the transient fluid-eliminated factor a built; stepping
+  // through it is stepping through its own.
   EXPECT_EQ(a.max_temperature(), b.max_temperature());
-  EXPECT_EQ(a.factorization_cache().size(), 1u);
-  EXPECT_EQ(b.factorization_cache().size(), 1u);
+  ASSERT_NE(a.fluid_eliminated_factor(), nullptr);
+  EXPECT_EQ(a.fluid_eliminated_factor(), b.fluid_eliminated_factor());
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 //     client cannot starve a one-query client.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -148,6 +150,30 @@ TEST(ServeFrame, OversizedLengthPrefixIsProtocolError) {
 }
 
 // -- bit identity across the wire ---------------------------------------------
+
+// -- socket layer -------------------------------------------------------------
+
+int no_delay(int fd) {
+  int value = -1;
+  socklen_t len = sizeof value;
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value;
+}
+
+TEST(ServeSocket, BothEndsOfATcpConnectionSetNoDelay) {
+  // The daemon accepts through accept_socket and clients connect through
+  // connect_socket: a small frame must leave at once, not wait on Nagle.
+  const int listen_fd = listen_socket(loopback());
+  const Endpoint ep = bound_endpoint(listen_fd, loopback());
+  const int client = connect_socket(ep);
+  const int server = accept_socket(listen_fd);
+  ASSERT_GE(server, 0);
+  EXPECT_NE(no_delay(client), 0);
+  EXPECT_NE(no_delay(server), 0);
+  ::close(server);
+  ::close(client);
+  ::close(listen_fd);
+}
 
 TEST(ServeNet, SteadyAnswerBitIdenticalToInProcess) {
   Fixture fx;

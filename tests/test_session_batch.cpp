@@ -46,16 +46,16 @@ std::unique_ptr<ThermalModel3D> make_loaded_model(double core_watts,
 }
 
 TEST(BatchStepper, LockstepIsBitIdenticalToSerialSteps) {
-  // Eight models with different power maps and flows (different fluid
-  // fixed-point trajectories — some converge in fewer iterations than
-  // others, exercising the active-set masking).
+  // Eight models with different power maps, in pairs of equal flow: the
+  // fluid-eliminated factor depends on the flow, so each step groups the
+  // batch into four factors and issues one two-column solve per group.
   constexpr std::size_t kModels = 8;
   std::vector<std::unique_ptr<ThermalModel3D>> batched;
   std::vector<std::unique_ptr<ThermalModel3D>> serial;
   std::vector<ThermalModel3D*> ptrs;
   for (std::size_t i = 0; i < kModels; ++i) {
     const double watts = 1.0 + 0.4 * static_cast<double>(i);
-    const double flow = 8.0 + 5.0 * static_cast<double>(i);
+    const double flow = 8.0 + 5.0 * static_cast<double>(i / 2);
     batched.push_back(make_loaded_model(watts, flow, CoolingType::kLiquid));
     serial.push_back(make_loaded_model(watts, flow, CoolingType::kLiquid));
     ptrs.push_back(batched.back().get());
@@ -66,8 +66,14 @@ TEST(BatchStepper, LockstepIsBitIdenticalToSerialSteps) {
     stepper.step(ptrs, 0.05);
     for (auto& m : serial) m->step(0.05);
   }
-  EXPECT_GT(stepper.shared_solves(), 25u);  // fluid fixed point iterates
-  EXPECT_GT(stepper.solved_columns(), stepper.shared_solves());
+  EXPECT_EQ(stepper.shared_solves(), 25u * 4u);  // one per flow group
+  EXPECT_EQ(stepper.solved_columns(), 25u * kModels);
+  for (std::size_t i = 0; i < kModels; i += 2) {
+    EXPECT_EQ(batched[i]->fluid_eliminated_factor(),
+              batched[i + 1]->fluid_eliminated_factor());
+    EXPECT_NE(batched[i]->fluid_eliminated_factor(),
+              batched[(i + 2) % kModels]->fluid_eliminated_factor());
+  }
 
   for (std::size_t i = 0; i < kModels; ++i) {
     for (std::size_t l = 0; l < batched[i]->layer_count(); ++l) {
@@ -83,39 +89,44 @@ TEST(BatchStepper, LockstepIsBitIdenticalToSerialSteps) {
 }
 
 TEST(BatchStepper, ShrinkingActiveSetAcrossLaneStridesMatchesSerial) {
-  // Members leave the lockstep set between steps (9 -> 5 -> 4 -> 1, lane
-  // strides 12 -> 8 -> 4 -> 1 with AVX, 10 -> 6 -> 4 -> 1 on SSE2) and
-  // within steps as their fluid fixed points converge; every model still
-  // matches its serial twin exactly.
-  constexpr std::size_t kModels = 9;
-  std::vector<std::unique_ptr<ThermalModel3D>> batched;
-  std::vector<std::unique_ptr<ThermalModel3D>> serial;
-  std::vector<ThermalModel3D*> ptrs;
-  for (std::size_t i = 0; i < kModels; ++i) {
-    const double watts = 1.2 + 0.3 * static_cast<double>(i);
-    const double flow = 6.0 + 4.0 * static_cast<double>(i);
-    batched.push_back(make_loaded_model(watts, flow, CoolingType::kLiquid));
-    serial.push_back(make_loaded_model(watts, flow, CoolingType::kLiquid));
-    ptrs.push_back(batched.back().get());
-  }
-
-  BatchThermalStepper stepper;
-  for (const std::size_t width : {9u, 5u, 4u, 1u}) {
-    for (int tick = 0; tick < 6; ++tick) {
-      stepper.step(std::span<ThermalModel3D* const>(ptrs.data(), width), 0.05);
-      for (std::size_t i = 0; i < width; ++i) serial[i]->step(0.05);
+  // Members leave the lockstep set between steps (9 -> 5 -> 4 -> 1).  With
+  // nine distinct flows every member steps through its own factor (the
+  // lowest flows sub-cycled for the LU's dominance bound); with flows in
+  // threes the groups share lane-padded solves at strides 4, 2 and 1.
+  // Either way every model matches its serial twin exactly.
+  for (const bool threes : {false, true}) {
+    SCOPED_TRACE(threes ? "flows in threes" : "distinct flows");
+    constexpr std::size_t kModels = 9;
+    std::vector<std::unique_ptr<ThermalModel3D>> batched;
+    std::vector<std::unique_ptr<ThermalModel3D>> serial;
+    std::vector<ThermalModel3D*> ptrs;
+    for (std::size_t i = 0; i < kModels; ++i) {
+      const double watts = 1.2 + 0.3 * static_cast<double>(i);
+      const double flow = threes ? 10.0 + 4.0 * static_cast<double>(i / 3)
+                                 : 6.0 + 4.0 * static_cast<double>(i);
+      batched.push_back(make_loaded_model(watts, flow, CoolingType::kLiquid));
+      serial.push_back(make_loaded_model(watts, flow, CoolingType::kLiquid));
+      ptrs.push_back(batched.back().get());
     }
-  }
-  for (std::size_t i = 0; i < kModels; ++i) {
-    for (std::size_t l = 0; l < batched[i]->layer_count(); ++l) {
-      for (std::size_t c = 0; c < batched[i]->grid().cell_count(); ++c) {
-        ASSERT_EQ(batched[i]->cell_temperature(l, c),
-                  serial[i]->cell_temperature(l, c))
-            << "model " << i << " layer " << l << " cell " << c;
+
+    BatchThermalStepper stepper;
+    for (const std::size_t width : {9u, 5u, 4u, 1u}) {
+      for (int tick = 0; tick < 6; ++tick) {
+        stepper.step(std::span<ThermalModel3D* const>(ptrs.data(), width), 0.05);
+        for (std::size_t i = 0; i < width; ++i) serial[i]->step(0.05);
       }
     }
-    EXPECT_EQ(batched[i]->fluid_outlet_temperature(1),
-              serial[i]->fluid_outlet_temperature(1));
+    for (std::size_t i = 0; i < kModels; ++i) {
+      for (std::size_t l = 0; l < batched[i]->layer_count(); ++l) {
+        for (std::size_t c = 0; c < batched[i]->grid().cell_count(); ++c) {
+          ASSERT_EQ(batched[i]->cell_temperature(l, c),
+                    serial[i]->cell_temperature(l, c))
+              << "model " << i << " layer " << l << " cell " << c;
+        }
+      }
+      EXPECT_EQ(batched[i]->fluid_outlet_temperature(1),
+                serial[i]->fluid_outlet_temperature(1));
+    }
   }
 }
 
@@ -414,16 +425,19 @@ TEST(BatchRunner, MultiWorkerChunksBitIdenticalToSerialRuns) {
 }
 
 TEST(BatchRunner, MembersHoldNoFactorizationAfterInit) {
-  // init() drops the warm-start factor (the direct steady LU on liquid, the
-  // pseudo-transient factor on air), so once the first lockstep tick has
-  // run, a chunk's only factor is its lead's transient one: every member
-  // reports an empty steady slot and the chunk's caches hold one entry.
+  // init() drops the warm-start factor (the steady fluid-eliminated LU on
+  // liquid, the pseudo-transient factor on air), so once the first
+  // lockstep tick has run, a chunk's only factor is the transient one its
+  // members step through: on liquid every member holds the same
+  // fluid-eliminated factor and no SPD factor; on air the chunk's SPD
+  // caches hold one entry and no member holds an LU.
   for (const CoolingMode cooling : {CoolingMode::kLiquidMax, CoolingMode::kAir}) {
     SCOPED_TRACE(to_string(cooling));
+    const bool liquid = cooling == CoolingMode::kLiquidMax;
     constexpr std::size_t kMembers = 4;
     std::vector<const SimulationSession*> members(kMembers, nullptr);
     std::vector<std::size_t> cached(kMembers, 99);
-    std::vector<bool> steady_lu(kMembers, true);
+    std::vector<const BandedLuMatrix*> lu(kMembers, nullptr);
     BatchRunner batch;
     for (std::size_t i = 0; i < kMembers; ++i) {
       SimulationConfig cfg = session_config(400 + i, "gzip", cooling);
@@ -433,18 +447,23 @@ TEST(BatchRunner, MembersHoldNoFactorizationAfterInit) {
         s.set_trace_callback([&, i](const SampleTrace&) {
           if (cached[i] != 99) return;  // first tick only
           cached[i] = members[i]->thermal().factorization_cache().size();
-          steady_lu[i] = members[i]->thermal().steady_factorization_cached();
+          lu[i] = members[i]->thermal().fluid_eliminated_factor();
         });
       });
     }
     (void)batch.run();
     std::size_t total = 0;
     for (std::size_t i = 0; i < kMembers; ++i) {
-      EXPECT_FALSE(steady_lu[i]) << "member " << i;
       EXPECT_LE(cached[i], 1u) << "member " << i;
       total += cached[i];
+      if (liquid) {
+        EXPECT_NE(lu[i], nullptr) << "member " << i;
+        EXPECT_EQ(lu[i], lu[0]) << "member " << i;  // one shared factor
+      } else {
+        EXPECT_EQ(lu[i], nullptr) << "member " << i;
+      }
     }
-    EXPECT_EQ(total, 1u);  // the lead's transient factor, shared by all
+    EXPECT_EQ(total, liquid ? 0u : 1u);  // air: the lead's factor, shared
   }
 }
 
@@ -454,7 +473,7 @@ TEST(SimulationSession, InitReleasesWarmStartFactorization) {
     SimulationSession s(session_config(5, "gzip", cooling));
     s.init();
     EXPECT_EQ(s.thermal().factorization_cache().size(), 0u);
-    EXPECT_FALSE(s.thermal().steady_factorization_cached());
+    EXPECT_EQ(s.thermal().fluid_eliminated_factor(), nullptr);
   }
 }
 
